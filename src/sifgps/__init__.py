@@ -1,7 +1,7 @@
 """Standalone SIF decoder and group-partially-separable problem evaluator."""
 
 from .errors import ErrorLog, SifError
-from .evaluator import EvalRequest, EvalResult, Evaluator
+from .evaluator import EvalResult, Evaluator
 from .expander import DecodeOptions, decode, setup
 from .jsonio import dump_text, load_text
 from .model import DecodedProblem, ProblemInternals
@@ -11,7 +11,6 @@ __all__ = [
     "DecodeOptions",
     "DecodedProblem",
     "ErrorLog",
-    "EvalRequest",
     "EvalResult",
     "Evaluator",
     "ProblemInternals",

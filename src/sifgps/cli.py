@@ -11,8 +11,8 @@ import numpy as np
 from scipy import sparse
 
 from .checker import run_checks
-from .errors import ErrorLog, SifError
-from .evaluator import EvalRequest, Evaluator, resolve_action
+from .errors import ErrorLog, SifError, UnknownAction
+from .evaluator import ACTIONS, Evaluator
 from .expander import DecodeOptions, decode
 from .jsonio import dump_text, load_text
 
@@ -158,9 +158,22 @@ def cmd_info(args) -> int:
     return 0
 
 
+def _json_value(value):
+    if sparse.issparse(value):
+        return _matrix_json(value)
+    if isinstance(value, list):
+        return [_json_value(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
 def cmd_eval(args) -> int:
     problem, internals, _ = _load_input(args.input, args)
-    name, (kind, order, needs) = resolve_action(args.action)
+    name = args.action
+    action = ACTIONS.get(name)
+    if action is None:
+        raise UnknownAction(f"unknown action {name!r}")
 
     if args.x is not None:
         x = _parse_vector(args.x)
@@ -171,41 +184,15 @@ def cmd_eval(args) -> int:
     y = _parse_vector(args.y) if args.y is not None else None
     v = _parse_vector(args.v) if args.v is not None else None
     subset = _parse_indices(args.i) if args.i is not None else None
-    if "y" in needs and y is None:
+    if "y" in action.needs and y is None:
         raise SifError(f"action {name!r} needs multipliers: pass --y")
-    if "v" in needs and v is None:
+    if "v" in action.needs and v is None:
         raise SifError(f"action {name!r} needs a vector: pass --v")
-    if "I" in needs and subset is None:
+    if "I" in action.needs and subset is None:
         raise SifError(f"action {name!r} needs a constraint subset: pass --i")
 
-    evaluator = Evaluator(problem, internals)
-    request = EvalRequest(kind=kind, x=x, order=order or 0, y=y,
-                          subset=subset, v=v if "v" in needs else None)
-    result = evaluator.run(request)
-
-    payload: dict = {}
-    if "v" in needs:
-        key = {"objective": "Hv", "constraints": "Jv", "lagrangian": "HLv"}[kind]
-        payload[key] = result.product.tolist()
-    elif kind == "objective":
-        payload["f"] = result.value
-        if order >= 1:
-            payload["g"] = result.gradient.tolist()
-        if order >= 2:
-            payload["H"] = _matrix_json(result.hessian)
-    elif kind == "constraints":
-        payload["c"] = result.value.tolist()
-        if order >= 1:
-            payload["J"] = _matrix_json(result.gradient)
-        if order >= 2:
-            payload["Hc"] = [_matrix_json(h) for h in result.hessian]
-    else:
-        payload["L"] = result.value
-        if order >= 1:
-            payload["gL"] = result.gradient.tolist()
-        if order >= 2:
-            payload["HL"] = _matrix_json(result.hessian)
-    _print_json(payload)
+    outputs = action(Evaluator(problem, internals), x, y, v, subset)
+    _print_json({key: _json_value(value) for key, value in outputs.items()})
     return 0
 
 

@@ -1,13 +1,18 @@
 """Evaluation engine over a decoded problem.
 
-Implements objective, constraint and Lagrangian values with first and second
-derivatives, restricted variants, and Hessian/Jacobian-vector products that
-never materialize the full matrices.
+Every action weights groups over the group-argument Jacobian G(x), whose row
+i is the gradient of a_i(x) = sum_e w_ie f_e(x) + A_i x - beta_i.  A call
+evaluates each element once and each group's F_i, d1_i, d2_i (over its
+scale).  With group weights lambda (1 for the objective, y for constraints)
+and mu_e = sum_i lambda_i d1_i w_ie: gradient H x + G^T (lambda d1), Hessian
+H + G^T diag(lambda d2) G + sum_e mu_e P_e^T H_e P_e, Jacobian diag(d1) G.
+Products apply these matrices without forming them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -18,22 +23,9 @@ from .errors import (
     DomainError,
     MultiplierLengthMismatch,
     NoConstraints,
-    UnknownAction,
 )
-from .expressions import eval_element, eval_group_function
-from .model import LINEAR_TERM_SIGN, DecodedProblem, ProblemInternals, build_csr
-
-
-@dataclass
-class EvalRequest:
-    """One evaluation task: what to compute, at which point, to which order."""
-
-    kind: str                     # "objective" | "constraints" | "lagrangian"
-    x: np.ndarray
-    order: int = 0
-    y: np.ndarray | None = None
-    subset: np.ndarray | None = None
-    v: np.ndarray | None = None   # present for Hessian/Jacobian-vector products
+from .expressions import eval_element, eval_group_function, trivial_group
+from .model import DecodedProblem, ProblemInternals, build_csr
 
 
 @dataclass
@@ -41,76 +33,41 @@ class EvalResult:
     value: float | np.ndarray | None = None
     gradient: np.ndarray | sparse.csr_matrix | None = None
     hessian: sparse.csr_matrix | list[sparse.csr_matrix] | None = None
-    product: np.ndarray | None = None
 
 
-# Action names accepted by the command line, mapped onto requests.
-ACTIONS: dict[str, tuple[str, int | None, frozenset[str]]] = {
-    "fx": ("objective", 0, frozenset()),
-    "fgx": ("objective", 1, frozenset()),
-    "fgHx": ("objective", 2, frozenset()),
-    "fHxv": ("objective", None, frozenset({"v"})),
-    "cx": ("constraints", 0, frozenset()),
-    "cJx": ("constraints", 1, frozenset()),
-    "cJHx": ("constraints", 2, frozenset()),
-    "cJxv": ("constraints", None, frozenset({"v"})),
-    "cIx": ("constraints", 0, frozenset({"I"})),
-    "cIJx": ("constraints", 1, frozenset({"I"})),
-    "cIJHx": ("constraints", 2, frozenset({"I"})),
-    "cIJxv": ("constraints", None, frozenset({"v", "I"})),
-    "Lxy": ("lagrangian", 0, frozenset({"y"})),
-    "Lgxy": ("lagrangian", 1, frozenset({"y"})),
-    "LgHxy": ("lagrangian", 2, frozenset({"y"})),
-    "LHxyv": ("lagrangian", None, frozenset({"y", "v"})),
-    "LIxy": ("lagrangian", 0, frozenset({"y", "I"})),
-    "LIgxy": ("lagrangian", 1, frozenset({"y", "I"})),
-    "LIgHxy": ("lagrangian", 2, frozenset({"y", "I"})),
-    "LIHxyv": ("lagrangian", None, frozenset({"y", "v", "I"})),
-}
+@dataclass
+class _Walk:
+    """One call's groups and weights, their values and derivatives, and G."""
 
-# Alternative spellings of the Lagrangian product actions.
-ACTION_ALIASES = {"HLxyv": "LHxyv", "HLIxyv": "LIHxyv"}
+    groups: np.ndarray
+    lam: np.ndarray
+    value: list[float]
+    d1: np.ndarray                 # NaN when the walk's order is below 1
+    d2: np.ndarray                 # NaN when the walk's order is below 2
+    elements: dict[int, tuple]     # element -> (value, gradient, Hessian)
+    G: sparse.csr_matrix | None    # the rows of G(x), in walk order
 
 
-def resolve_action(name: str) -> tuple[str, tuple[str, int | None, frozenset[str]]]:
-    canonical = ACTION_ALIASES.get(name, name)
-    if canonical not in ACTIONS:
-        raise UnknownAction(f"unknown action {name!r}")
-    return canonical, ACTIONS[canonical]
+def _expand(starts: np.ndarray, counts: np.ndarray):
+    """Concatenated ranges starts[k] + arange(counts[k]), as (owner k, index)."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, starts[owner] + offset
 
 
-class _GroupData:
-    """Precomputed sparsity and function bindings for one group."""
-
-    __slots__ = ("index", "a_cols", "a_vals", "beta", "scale", "descriptor",
-                 "params", "elements", "support", "a_pos", "el_pos")
-
-    def __init__(self, gi: int, internals: ProblemInternals,
-                 element_cache: list[tuple]):
-        self.index = gi
-        row = internals.A.getrow(gi).tocoo()
-        self.a_cols = row.col.astype(np.int64)
-        self.a_vals = row.data.copy()
-        self.beta = float(internals.gconst[gi])
-        self.scale = float(internals.gscale[gi])
-        descriptor = internals.group_types.get(internals.grftype[gi])
-        if descriptor is None:
-            from .expressions import trivial_group
-            descriptor = trivial_group()
-        self.descriptor = descriptor
-        self.params = dict(zip(descriptor.parameters, internals.grpar[gi]))
-        self.elements = [(int(e), float(w), element_cache[int(e)])
-                         for e, w in zip(internals.grelt[gi], internals.grelw[gi])]
-        pieces = [self.a_cols] + [element_cache[int(e)][2]
-                                  for e in internals.grelt[gi]]
-        self.support = np.unique(np.concatenate(pieces))
-        self.a_pos = np.searchsorted(self.support, self.a_cols)
-        self.el_pos = [np.searchsorted(self.support, element_cache[int(e)][2])
-                       for e in internals.grelt[gi]]
+def _square(ptr: np.ndarray, rows: np.ndarray):
+    """Every ordered pair (p, q) of entries within each listed row, row-major."""
+    start, size = ptr[rows], ptr[rows + 1] - ptr[rows]
+    owner, flat = _expand(np.zeros_like(start), size * size)
+    size = size[owner]
+    return owner, start[owner] + flat // size, start[owner] + flat % size
 
 
 class Evaluator:
-    """Read-only evaluation over an immutable (problem, internals) pair."""
+    """Read-only evaluation over an immutable (problem, internals) pair.
+
+    An evaluator keeps no state between calls, so calls may run concurrently.
+    """
 
     def __init__(self, problem: DecodedProblem, internals: ProblemInternals):
         self.problem = problem
@@ -125,8 +82,41 @@ class Evaluator:
             descriptor = internals.element_types[internals.elftype[e]]
             params = dict(zip(descriptor.parameters, internals.elpar[e]))
             self._elements.append((descriptor, params, internals.elvar[e]))
-        self._groups = [_GroupData(gi, internals, self._elements)
-                        for gi in range(internals.n_groups)]
+        trivial = trivial_group()
+        self._groups = []
+        for name, values in zip(internals.grftype, internals.grpar):
+            descriptor = internals.group_types.get(name, trivial)
+            self._groups.append((descriptor, dict(zip(descriptor.parameters, values))))
+
+        # element uses in group order, and each element's variables
+        empty = np.zeros(0, np.int64)
+        uses = np.array([len(g) for g in internals.grelt], dtype=np.int64)
+        self._use_ptr = np.concatenate([[0], np.cumsum(uses)])
+        self._use_elem = np.concatenate([empty, *internals.grelt])
+        self._use_w = np.concatenate([np.zeros(0), *internals.grelw])
+        size = np.array([len(v) for v in internals.elvar], dtype=np.int64)
+        self._el_ptr = np.concatenate([[0], np.cumsum(size)])
+        self._el_cols = np.concatenate([empty, *internals.elvar])
+
+        # G's raw entries are A's, then each use's variables; entries on one
+        # (row, column) sum into one slot of G's fixed pattern
+        a = internals.A.tocoo()
+        use_size = size[self._use_elem]
+        owner, entries = _expand(self._el_ptr[self._use_elem], use_size)
+        rows = np.concatenate([a.row, np.repeat(np.arange(uses.size), uses)[owner]])
+        cols = np.concatenate([a.col, self._el_cols[entries]])
+        keys, slot = np.unique(rows.astype(np.int64) * self.n + cols,
+                               return_inverse=True)
+        g_rows, self._g_cols = np.divmod(keys, max(self.n, 1))
+        self._g_ptr = np.concatenate([[0], np.cumsum(
+            np.bincount(g_rows, minlength=internals.n_groups))])
+        self._slot, self._a_data = slot.ravel(), a.data
+        self._quad = sparse.tril(internals.H).tocoo()
+        # Python scalars for the walk, which reads them one at a time
+        self._scalars = (self._use_ptr.tolist(), self._use_elem.tolist(),
+                         self._use_w.tolist(),
+                         (a.nnz + np.cumsum(use_size) - use_size).tolist(),
+                         internals.gconst.tolist(), internals.gscale.tolist())
 
     # -- argument checking --
 
@@ -153,227 +143,236 @@ class Evaluator:
         if self.m == 0:
             raise NoConstraints("the problem has no general constraints")
 
-    # -- group pieces --
+    def _multipliers(self, y, subset) -> tuple[np.ndarray, np.ndarray]:
+        """The checked constraint subset and its multipliers."""
+        selected = self._subset(subset)
+        if y is None:
+            raise MultiplierLengthMismatch("the Lagrangian needs multipliers y")
+        y = np.asarray(y, dtype=float)
+        if y.shape != selected.shape:
+            raise MultiplierLengthMismatch(
+                f"y must have length {selected.size}, got shape {y.shape}")
+        return selected, y
 
-    def group_argument(self, gi: int, x: np.ndarray) -> float:
-        """The scalar argument a_i(x) fed to group gi's function."""
-        x = self._vector(x, self.n, "x")
-        return self._pieces(self._groups[gi], x, 0)[0]
+    # -- the walk over groups --
 
-    def _pieces(self, group: _GroupData, x: np.ndarray, order: int):
-        """Value, gradient over the support, and element Hessian blocks of a_i."""
-        a = LINEAR_TERM_SIGN * float(np.dot(group.a_vals, x[group.a_cols])) - group.beta
-        grad = None
-        if order >= 1:
-            grad = np.zeros(len(group.support))
-            np.add.at(grad, group.a_pos, LINEAR_TERM_SIGN * group.a_vals)
-        blocks = []
-        for (e, w, (desc, params, cols)), pos in zip(group.elements, group.el_pos):
+    def _walk(self, x: np.ndarray, order: int, groups: np.ndarray, lam) -> _Walk:
+        """Evaluate the groups in order, each element once, and refill G."""
+        use_ptr, use_elem, use_w, use_start, gconst, gscale = self._scalars
+        ax = (self.internals.A @ x).tolist()
+        raw = None if order < 1 else np.concatenate(
+            [self._a_data, np.zeros(self._slot.size - self._a_data.size)])
+        elements: dict[int, tuple] = {}
+        values, firsts, seconds = [], [], []
+        for gi in groups.tolist():
+            a = ax[gi] - gconst[gi]
+            for u in range(use_ptr[gi], use_ptr[gi + 1]):
+                e, w = use_elem[u], use_w[u]
+                result = elements.get(e)
+                if result is None:
+                    desc, params, cols = self._elements[e]
+                    try:
+                        result = eval_element(desc, x[cols], params, self._ef_env, order)
+                    except DomainError as err:
+                        raise DomainError(err.message, element_index=e) from err
+                    elements[e] = result
+                a += w * result[0]
+                if raw is not None:
+                    raw[use_start[u]:use_start[u] + result[1].size] = w * result[1]
+            desc, params = self._groups[gi]
             try:
-                value, g_e, h_e = eval_element(desc, x[cols], params,
-                                               self._ef_env, order)
+                value, d1, d2 = eval_group_function(desc, a, params, self._gf_env,
+                                                    order, strict_derivatives=True)
             except DomainError as err:
-                if err.element_index is None and err.group_index is None:
-                    raise DomainError(err.message, element_index=e) from err
-                raise
-            a += w * value
-            if order >= 1:
-                np.add.at(grad, pos, w * g_e)
-            if order >= 2:
-                blocks.append((pos, w * h_e))
-        return a, grad, blocks
+                raise DomainError(err.message, group_index=gi) from err
+            inv = 1.0 / gscale[gi]
+            values.append(value * inv)
+            firsts.append(d1 * inv if order >= 1 else None)
+            seconds.append(d2 * inv if order >= 2 else None)
+        G = None
+        if raw is not None:
+            data = np.bincount(self._slot, raw, minlength=self._g_cols.size)
+            G = sparse.csr_matrix((data, self._g_cols, self._g_ptr),
+                                  shape=(self.internals.n_groups, self.n))[groups]
+        return _Walk(groups, lam, values, np.array(firsts, dtype=float),
+                     np.array(seconds, dtype=float), elements, G)
 
-    def _group_function(self, group: _GroupData, a: float, order: int):
-        try:
-            value, d1, d2 = eval_group_function(
-                group.descriptor, a, group.params, self._gf_env, order,
-                strict_derivatives=True)
-        except DomainError as err:
-            if err.element_index is None and err.group_index is None:
-                raise DomainError(err.message, group_index=group.index) from err
-            raise
-        inv = 1.0 / group.scale
-        return (value * inv,
-                d1 * inv if order >= 1 else None,
-                d2 * inv if order >= 2 else None)
+    def _objective_walk(self, x, order: int, selected=None, y=None) -> _Walk:
+        """The objective's groups with weight 1, then selected constraints with y."""
+        groups, lam = self.internals.objgrps, np.ones(self.internals.objgrps.size)
+        if selected is not None:
+            groups = np.concatenate([groups, self.internals.congrps[selected]])
+            lam = np.concatenate([lam, y])
+        return self._walk(x, order, groups, lam)
 
-    @staticmethod
-    def _block_matrix(group: _GroupData, grad: np.ndarray, blocks,
-                      c2: float, c1: float) -> np.ndarray:
-        """Dense support-by-support second-derivative block of one group term."""
-        block = c2 * np.outer(grad, grad)
-        for pos, wh in blocks:
-            np.add.at(block, (pos[:, None], pos[None, :]), c1 * wh)
-        # mirror the lower triangle so the assembled matrix is exactly symmetric
-        lower = np.tril(block)
-        return lower + np.tril(block, -1).T
+    # -- weighted sums over a walk --
+
+    def _function(self, walk: _Walk, x, order: int) -> EvalResult:
+        """Objective value, weighted gradient and weighted Hessian of a walk."""
+        hx = self.internals.H @ x
+        value = 0.5 * float(np.dot(x, hx))
+        for f in walk.value[:self.internals.objgrps.size]:
+            value += f
+        return EvalResult(
+            value=value,
+            gradient=hx + walk.G.T @ (walk.lam * walk.d1) if order >= 1 else None,
+            hessian=self._hessian(walk, True) if order >= 2 else None)
+
+    def _element_terms(self, walk: _Walk, c1, split: bool):
+        """(block, row, col, value) of mu_e P_e^T H_e P_e; c1 is lambda d1."""
+        positions = np.flatnonzero(c1 != 0.0)
+        groups, n_el = walk.groups[positions], max(len(self._elements), 1)
+        owner, uses = _expand(self._use_ptr[groups],
+                              self._use_ptr[groups + 1] - self._use_ptr[groups])
+        key = self._use_elem[uses] + (positions[owner] * n_el if split else 0)
+        keys, inverse = np.unique(key, return_inverse=True)
+        mu = np.bincount(inverse.ravel(), c1[positions][owner] * self._use_w[uses])
+        block, elems = np.divmod(keys, n_el)
+        owner, p, q = _square(self._el_ptr, elems)
+        hessians = np.concatenate(
+            [np.zeros(0), *(walk.elements[e][2].ravel() for e in elems.tolist())])
+        return block[owner], self._el_cols[p], self._el_cols[q], mu[owner] * hessians
+
+    def _hessian(self, walk: _Walk, quad: bool, split: bool = False):
+        """Mirrored lower triangle of the weighted Hessian, or with split, one per group."""
+        c2 = walk.lam * walk.d2
+        rows = np.flatnonzero(c2 != 0.0)
+        G = walk.G
+        owner, p, q = _square(G.indptr, rows)
+        parts = [(rows[owner], G.indices[p], G.indices[q],
+                  c2[rows][owner] * (G.data[p] * G.data[q])),
+                 self._element_terms(walk, walk.lam * walk.d1, split)]
+        if quad:
+            parts.append((np.zeros_like(self._quad.row), self._quad.row,
+                          self._quad.col, self._quad.data))
+        block, rows, cols, vals = (np.concatenate(part) for part in zip(*parts))
+        lower, off = rows >= cols, rows > cols
+        block, rows, cols, vals = (np.concatenate([a[lower], b[off]]) for a, b in (
+            (block, block), (rows, cols), (cols, rows), (vals, vals)))
+        if not split:
+            return build_csr(rows, cols, vals, (self.n, self.n))
+        n = self.n
+        keyed = build_csr(block, rows.astype(np.int64) * n + cols, vals,
+                          (walk.groups.size, n * n))
+        return [sparse.csr_matrix((keyed.data[s:e], np.divmod(keyed.indices[s:e], n)),
+                                  shape=(n, n))
+                for s, e in zip(keyed.indptr[:-1], keyed.indptr[1:])]
 
     # -- objective --
 
     def evaluate_objective(self, x, order: int = 0) -> EvalResult:
         x = self._vector(x, self.n, "x")
-        internals = self.internals
-        hx = internals.H @ x
-        value = 0.5 * float(np.dot(x, hx))
-        gradient = hx.copy() if order >= 1 else None
-        triplet_rows: list[np.ndarray] = []
-        triplet_cols: list[np.ndarray] = []
-        triplet_vals: list[np.ndarray] = []
-        for gi in internals.objgrps:
-            group = self._groups[int(gi)]
-            a, grad, blocks = self._pieces(group, x, order)
-            fval, d1, d2 = self._group_function(group, a, order)
-            value += fval
-            if order >= 1:
-                gradient[group.support] += d1 * grad
-            if order >= 2:
-                block = self._block_matrix(group, grad, blocks, d2, d1)
-                triplet_rows.append(np.repeat(group.support, len(group.support)))
-                triplet_cols.append(np.tile(group.support, len(group.support)))
-                triplet_vals.append(block.ravel())
-        hessian = None
-        if order >= 2:
-            hcoo = internals.H.tocoo()
-            triplet_rows.append(hcoo.row.astype(np.int64))
-            triplet_cols.append(hcoo.col.astype(np.int64))
-            triplet_vals.append(hcoo.data)
-            hessian = build_csr(np.concatenate(triplet_rows),
-                                np.concatenate(triplet_cols),
-                                np.concatenate(triplet_vals), (self.n, self.n))
-        return EvalResult(value=value, gradient=gradient, hessian=hessian)
+        return self._function(self._objective_walk(x, order), x, order)
 
     # -- constraints --
 
     def evaluate_constraints(self, x, order: int = 0, subset=None) -> EvalResult:
         self._need_constraints()
         x = self._vector(x, self.n, "x")
-        selected = self._subset(subset)
-        values = np.empty(len(selected))
-        jac_rows: list[np.ndarray] = []
-        jac_cols: list[np.ndarray] = []
-        jac_vals: list[np.ndarray] = []
-        hessians: list[sparse.csr_matrix] = []
-        for k, ci in enumerate(selected):
-            group = self._groups[int(self.internals.congrps[ci])]
-            a, grad, blocks = self._pieces(group, x, order)
-            cval, d1, d2 = self._group_function(group, a, order)
-            values[k] = cval
-            if order >= 1:
-                jac_rows.append(np.full(len(group.support), k, dtype=np.int64))
-                jac_cols.append(group.support)
-                jac_vals.append(d1 * grad)
-            if order >= 2:
-                block = self._block_matrix(group, grad, blocks, d2, d1)
-                hessians.append(build_csr(
-                    np.repeat(group.support, len(group.support)),
-                    np.tile(group.support, len(group.support)),
-                    block.ravel(), (self.n, self.n)))
-        jacobian = None
-        if order >= 1:
-            jacobian = build_csr(
-                np.concatenate(jac_rows) if jac_rows else [],
-                np.concatenate(jac_cols) if jac_cols else [],
-                np.concatenate(jac_vals) if jac_vals else [],
-                (len(selected), self.n))
-        return EvalResult(value=values, gradient=jacobian,
-                          hessian=hessians if order >= 2 else None)
+        congrps = self.internals.congrps[self._subset(subset)]
+        walk = self._walk(x, order, congrps, np.ones(congrps.size))
+        G = walk.G.tocoo() if order >= 1 else None
+        return EvalResult(
+            value=np.array(walk.value, dtype=float),
+            gradient=(build_csr(G.row, G.col, walk.d1[G.row] * G.data,
+                                (congrps.size, self.n)) if order >= 1 else None),
+            hessian=self._hessian(walk, False, split=True) if order >= 2 else None)
 
     # -- Lagrangian --
-
-    def _multipliers(self, y, count: int) -> np.ndarray:
-        if y is None:
-            raise MultiplierLengthMismatch("the Lagrangian needs multipliers y")
-        y = np.asarray(y, dtype=float)
-        if y.shape != (count,):
-            raise MultiplierLengthMismatch(
-                f"y must have length {count}, got shape {y.shape}")
-        return y
 
     def evaluate_lagrangian(self, x, y, order: int = 0, subset=None) -> EvalResult:
         self._need_constraints()
         x = self._vector(x, self.n, "x")
-        selected = self._subset(subset)
-        y = self._multipliers(y, len(selected))
-        obj = self.evaluate_objective(x, order)
-        cons = self.evaluate_constraints(x, order, selected)
-        value = obj.value + float(np.dot(y, cons.value))
-        gradient = None
-        hessian = None
-        if order >= 1:
-            gradient = obj.gradient + cons.gradient.T @ y
-        if order >= 2:
-            rows = [obj.hessian.tocoo()]
-            for yk, hk in zip(y, cons.hessian):
-                scaled = hk.tocoo()
-                scaled.data = scaled.data * yk
-                rows.append(scaled)
-            hessian = build_csr(
-                np.concatenate([h.row.astype(np.int64) for h in rows]),
-                np.concatenate([h.col.astype(np.int64) for h in rows]),
-                np.concatenate([h.data for h in rows]), (self.n, self.n))
-        return EvalResult(value=value, gradient=gradient, hessian=hessian)
+        walk = self._objective_walk(x, order, *self._multipliers(y, subset))
+        result = self._function(walk, x, order)
+        nob = self.internals.objgrps.size
+        result.value += float(np.dot(walk.lam[nob:], walk.value[nob:]))
+        return result
 
     # -- products --
-
-    def _group_hvp(self, group: _GroupData, x, v, multiplier: float,
-                   out: np.ndarray) -> None:
-        a, grad, blocks = self._pieces(group, x, 2)
-        _, d1, d2 = self._group_function(group, a, 2)
-        v_sup = v[group.support]
-        rank_one = (multiplier * d2 * float(np.dot(grad, v_sup))) * grad
-        element_part = np.zeros(len(group.support))
-        for pos, wh in blocks:
-            np.add.at(element_part, pos, wh @ v_sup[pos])
-        out[group.support] += rank_one + (multiplier * d1) * element_part
 
     def hessian_vector_product(self, x, v, kind: str = "objective",
                                y=None, subset=None) -> np.ndarray:
         x = self._vector(x, self.n, "x")
         v = self._vector(v, self.n, "v")
-        out = np.asarray(self.internals.H @ v)
-        for gi in self.internals.objgrps:
-            self._group_hvp(self._groups[int(gi)], x, v, 1.0, out)
+        selected = None
         if kind == "lagrangian":
             self._need_constraints()
-            selected = self._subset(subset)
-            y = self._multipliers(y, len(selected))
-            for yk, ci in zip(y, selected):
-                group = self._groups[int(self.internals.congrps[ci])]
-                self._group_hvp(group, x, v, float(yk), out)
-        return out
+            selected, y = self._multipliers(y, subset)
+        walk = self._objective_walk(x, 2, selected, y)
+        out = self.internals.H @ v + walk.G.T @ (walk.lam * walk.d2 * (walk.G @ v))
+        _, rows, cols, vals = self._element_terms(walk, walk.lam * walk.d1, False)
+        return out + np.bincount(rows, vals * v[cols], minlength=self.n)
 
     def jacobian_vector_product(self, x, v, subset=None) -> np.ndarray:
         self._need_constraints()
         x = self._vector(x, self.n, "x")
         v = self._vector(v, self.n, "v")
-        selected = self._subset(subset)
-        out = np.empty(len(selected))
-        for k, ci in enumerate(selected):
-            group = self._groups[int(self.internals.congrps[ci])]
-            a, grad, _ = self._pieces(group, x, 1)
-            _, d1, _ = self._group_function(group, a, 1)
-            out[k] = d1 * float(np.dot(grad, v[group.support]))
-        return out
+        congrps = self.internals.congrps[self._subset(subset)]
+        walk = self._walk(x, 1, congrps, np.ones(congrps.size))
+        return walk.d1 * (walk.G @ v)
 
-    # -- request dispatch --
 
-    def run(self, request: EvalRequest) -> EvalResult:
-        if request.v is not None:
-            if request.kind == "objective":
-                return EvalResult(product=self.hessian_vector_product(
-                    request.x, request.v))
-            if request.kind == "lagrangian":
-                return EvalResult(product=self.hessian_vector_product(
-                    request.x, request.v, kind="lagrangian", y=request.y,
-                    subset=request.subset))
-            return EvalResult(product=self.jacobian_vector_product(
-                request.x, request.v, subset=request.subset))
-        if request.kind == "objective":
-            return self.evaluate_objective(request.x, request.order)
-        if request.kind == "constraints":
-            return self.evaluate_constraints(request.x, request.order,
-                                             request.subset)
-        if request.kind == "lagrangian":
-            return self.evaluate_lagrangian(request.x, request.y, request.order,
-                                            request.subset)
-        raise UnknownAction(f"unknown evaluation kind {request.kind!r}")
+# -- the action table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Action:
+    """One named evaluation: its call, the inputs it needs and its output keys."""
+
+    call: Callable   # (evaluator, x, y, v, subset) -> EvalResult or a product
+    needs: str       # which of "y", "v" and "I" (the constraint subset) it needs
+    keys: tuple[str, ...]
+
+    def __call__(self, evaluator: Evaluator, x, y=None, v=None, subset=None) -> dict:
+        result = self.call(evaluator, x, y, v, subset)
+        if isinstance(result, np.ndarray):
+            return {self.keys[0]: result}
+        return dict(zip(self.keys, (result.value, result.gradient, result.hessian)))
+
+
+def _objective(order: int) -> Action:
+    return Action(lambda ev, x, y, v, subset: ev.evaluate_objective(x, order),
+                  "", ("f", "g", "H")[:order + 1])
+
+
+def _constraints(order: int, needs: str = "") -> Action:
+    return Action(lambda ev, x, y, v, subset: ev.evaluate_constraints(x, order, subset),
+                  needs, ("c", "J", "Hc")[:order + 1])
+
+
+def _lagrangian(order: int, needs: str = "y") -> Action:
+    return Action(lambda ev, x, y, v, subset: ev.evaluate_lagrangian(x, y, order, subset),
+                  needs, ("L", "gL", "HL")[:order + 1])
+
+
+# Every action name, aliases included.  Constraint and Lagrangian actions
+# honour a subset even when they do not require one.
+ACTIONS: dict[str, Action] = {
+    "fx": _objective(0),
+    "fgx": _objective(1),
+    "fgHx": _objective(2),
+    "fHxv": Action(lambda ev, x, y, v, subset: ev.hessian_vector_product(x, v),
+                   "v", ("Hv",)),
+    "cx": _constraints(0),
+    "cJx": _constraints(1),
+    "cJHx": _constraints(2),
+    "cJxv": Action(lambda ev, x, y, v, subset: ev.jacobian_vector_product(
+        x, v, subset), "v", ("Jv",)),
+    "cIx": _constraints(0, "I"),
+    "cIJx": _constraints(1, "I"),
+    "cIJHx": _constraints(2, "I"),
+    "cIJxv": Action(lambda ev, x, y, v, subset: ev.jacobian_vector_product(
+        x, v, subset), "vI", ("Jv",)),
+    "Lxy": _lagrangian(0),
+    "Lgxy": _lagrangian(1),
+    "LgHxy": _lagrangian(2),
+    "LHxyv": Action(lambda ev, x, y, v, subset: ev.hessian_vector_product(
+        x, v, "lagrangian", y, subset), "yv", ("HLv",)),
+    "LIxy": _lagrangian(0, "yI"),
+    "LIgxy": _lagrangian(1, "yI"),
+    "LIgHxy": _lagrangian(2, "yI"),
+    "LIHxyv": Action(lambda ev, x, y, v, subset: ev.hessian_vector_product(
+        x, v, "lagrangian", y, subset), "yvI", ("HLv",)),
+}
+ACTIONS["HLxyv"], ACTIONS["HLIxyv"] = ACTIONS["LHxyv"], ACTIONS["LIHxyv"]

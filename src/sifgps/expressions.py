@@ -377,10 +377,6 @@ class ElementDescriptor:
     range_matrix: np.ndarray | None  # (len(internal), len(elemental)); None = identity
     program: ExpressionProgram
 
-    @property
-    def arity(self) -> int:
-        return len(self.elemental)
-
 
 @dataclass(frozen=True)
 class GroupDescriptor:
@@ -489,10 +485,6 @@ class NonlinearPart:
     descriptors: dict[str, ElementDescriptor | GroupDescriptor]
     global_names: tuple[str, ...]
     global_values: tuple[float, ...]
-
-    @property
-    def global_env(self) -> dict[str, float]:
-        return dict(zip(self.global_names, self.global_values))
 
 
 def _merge_continuations(records: list[SourceRecord]) -> list[SourceRecord]:

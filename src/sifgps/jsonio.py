@@ -16,6 +16,7 @@ from scipy import sparse
 
 from .errors import MalformedRecord
 from .expressions import (
+    TRIVIAL_GROUP_NAME,
     ElementDescriptor,
     ExpressionProgram,
     GroupDescriptor,
@@ -212,10 +213,76 @@ def dump_problem(problem: DecodedProblem, internals: ProblemInternals,
     }
 
 
+def _check_tables(problem: DecodedProblem, internals: ProblemInternals) -> None:
+    """Reject tables whose sizes, indices or type names do not fit together."""
+    n, m = problem.n, problem.m
+    n_groups, n_elements = len(internals.grftype), len(internals.elftype)
+    sizes = [
+        (n, "n", {"x0": problem.x0, "xlower": problem.xlower,
+                  "xupper": problem.xupper, "xscale": problem.xscale,
+                  "xtype": problem.xtype, "xnames": problem.xnames}),
+        (m, "m", {"y0": problem.y0, "clower": problem.clower,
+                  "cupper": problem.cupper, "ctypes": problem.ctypes,
+                  "cranges": problem.cranges, "cnames": problem.cnames,
+                  "congrps": internals.congrps}),
+        (problem.nob, "nob", {"objgrps": internals.objgrps}),
+        (n_groups, "the number of groups",
+         {"gconst": internals.gconst, "gscale": internals.gscale,
+          "grelt": internals.grelt, "grelw": internals.grelw,
+          "grpar": internals.grpar}),
+        (n_elements, "the number of elements",
+         {"elvar": internals.elvar, "elpar": internals.elpar}),
+    ]
+    for size, label, fields in sizes:
+        for field, values in fields.items():
+            if values is not None and len(values) != size:
+                raise MalformedRecord(f"field {field!r} has length {len(values)}, "
+                                      f"not {label} = {size}")
+    for field, matrix, shape in (("A", internals.A, (n_groups, n)),
+                                 ("H", internals.H, (n, n))):
+        if matrix.shape != shape:
+            raise MalformedRecord(
+                f"field {field!r} has shape {matrix.shape}, not {shape}")
+    for field, rows, bound in (("elvar", internals.elvar, n),
+                               ("grelt", internals.grelt, n_elements),
+                               ("objgrps", (internals.objgrps,), n_groups),
+                               ("congrps", (internals.congrps,), n_groups)):
+        flat = np.concatenate([np.zeros(0, np.int64), *rows])
+        if flat.size and (flat.min() < 0 or flat.max() >= bound):
+            raise MalformedRecord(
+                f"field {field!r} holds an index outside [0, {bound})")
+    for field, names, known in (
+            ("elftype", internals.elftype, set(internals.element_types)),
+            ("grftype", internals.grftype,
+             set(internals.group_types) | {TRIVIAL_GROUP_NAME})):
+        unknown = set(names) - known
+        if unknown:
+            raise MalformedRecord(
+                f"field {field!r} names unknown type(s) {sorted(unknown)}")
+
+
 def load_problem(data: dict) -> tuple[DecodedProblem, ProblemInternals, dict]:
+    """Rebuild a decoded problem from its dump, raising MalformedRecord on a bad one."""
     if data.get("format_version") != FORMAT_VERSION:
         raise MalformedRecord(
             f"unsupported dump format_version {data.get('format_version')!r}")
+    try:
+        problem, internals = _load_tables(data)
+    except KeyError as exc:
+        raise MalformedRecord(f"dump has no field {exc.args[0]!r}") from None
+    _check_tables(problem, internals)
+    problem.validate()
+    internals.validate()
+    globals_ef = frozenset(internals.efpar_names)
+    globals_gf = frozenset(internals.gfpar_names)
+    for desc in internals.element_types.values():
+        desc.program.validate(globals_ef)
+    for desc in internals.group_types.values():
+        desc.program.validate(globals_gf)
+    return problem, internals, data.get("provenance", {})
+
+
+def _load_tables(data: dict) -> tuple[DecodedProblem, ProblemInternals]:
     p = data["problem"]
     problem = DecodedProblem(
         name=p["name"],
@@ -269,15 +336,7 @@ def load_problem(data: dict) -> tuple[DecodedProblem, ProblemInternals, dict]:
         grnames=tuple(i["grnames"]) if i["grnames"] is not None else None,
         alt_sets={k: tuple(v) for k, v in i["alt_sets"].items()},
     )
-    problem.validate()
-    internals.validate()
-    globals_ef = frozenset(internals.efpar_names)
-    globals_gf = frozenset(internals.gfpar_names)
-    for desc in element_types.values():
-        desc.program.validate(globals_ef)
-    for desc in group_types.values():
-        desc.program.validate(globals_gf)
-    return problem, internals, data.get("provenance", {})
+    return problem, internals
 
 
 def dumps_canonical(data: dict) -> str:

@@ -14,11 +14,6 @@ from scipy import sparse
 from .errors import InvalidBounds, RangeSignViolation, ZeroScaleFactor
 from .expressions import ElementDescriptor, GroupDescriptor
 
-# The linear term of a group argument is ADDED:
-#   a_i(x) = sum_j w_ij f_j + sum_j alpha_ij x_j / scale_j - beta_i
-# Flip to -1.0 for the convention in which the linear sum is subtracted.
-LINEAR_TERM_SIGN = 1.0
-
 RELATIONS = ("<=", "==", ">=")
 
 
@@ -147,6 +142,9 @@ class DecodedProblem:
 @dataclass(frozen=True, eq=False)
 class ProblemInternals:
     """Evaluation structure: group/element tables and sparse matrices.
+
+    Group i's argument adds its linear term:
+    a_i(x) = sum_j w_ij f_j + sum_j A_ij x_j - gconst_i.
 
     Shared by evaluators; immutable after setup.
     """

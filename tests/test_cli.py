@@ -3,7 +3,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+from scipy import sparse
+
+from sifgps import Evaluator, load_text
 from sifgps.cli import main
+from sifgps.evaluator import ACTIONS
 
 from conftest import CORPUS
 
@@ -209,3 +214,76 @@ def test_info_and_check_accept_sif_input(capsys):
                           "--trials", "2")
     assert code == 0
     assert stdout.strip().endswith("OK")
+
+
+def _dense(value):
+    if isinstance(value, dict):
+        out = np.zeros((value["rows"], value["cols"]))
+        for i, j, entry in value["entries"]:
+            out[i, j] = entry
+        return out
+    if sparse.issparse(value):
+        return value.toarray()
+    if isinstance(value, list) and value and not np.isscalar(value[0]):
+        return [_dense(item) for item in value]
+    return np.asarray(value)
+
+
+def test_eval_every_action_matches_the_evaluator(tmp_path, capsys):
+    dump = decode_to(tmp_path, "CONSELM")
+    ev = Evaluator(*load_text(dump.read_text())[:2])
+    x, v = np.array([0.4, 0.1, 0.9]), np.array([1.0, -2.0, 0.5])
+    y, y_sub, subset = np.array([0.3, -1.2]), np.array([0.7]), [1]
+
+    def parts(result, *keys):
+        return dict(zip(keys, (result.value, result.gradient, result.hessian)))
+
+    expected = {
+        "fx": parts(ev.evaluate_objective(x, 0), "f"),
+        "fgx": parts(ev.evaluate_objective(x, 1), "f", "g"),
+        "fgHx": parts(ev.evaluate_objective(x, 2), "f", "g", "H"),
+        "fHxv": {"Hv": ev.hessian_vector_product(x, v)},
+        "cx": parts(ev.evaluate_constraints(x, 0), "c"),
+        "cJx": parts(ev.evaluate_constraints(x, 1), "c", "J"),
+        "cJHx": parts(ev.evaluate_constraints(x, 2), "c", "J", "Hc"),
+        "cJxv": {"Jv": ev.jacobian_vector_product(x, v)},
+        "cIx": parts(ev.evaluate_constraints(x, 0, subset), "c"),
+        "cIJx": parts(ev.evaluate_constraints(x, 1, subset), "c", "J"),
+        "cIJHx": parts(ev.evaluate_constraints(x, 2, subset), "c", "J", "Hc"),
+        "cIJxv": {"Jv": ev.jacobian_vector_product(x, v, subset)},
+        "Lxy": parts(ev.evaluate_lagrangian(x, y, 0), "L"),
+        "Lgxy": parts(ev.evaluate_lagrangian(x, y, 1), "L", "gL"),
+        "LgHxy": parts(ev.evaluate_lagrangian(x, y, 2), "L", "gL", "HL"),
+        "LHxyv": {"HLv": ev.hessian_vector_product(x, v, "lagrangian", y)},
+        "LIxy": parts(ev.evaluate_lagrangian(x, y_sub, 0, subset), "L"),
+        "LIgxy": parts(ev.evaluate_lagrangian(x, y_sub, 1, subset), "L", "gL"),
+        "LIgHxy": parts(ev.evaluate_lagrangian(x, y_sub, 2, subset), "L", "gL", "HL"),
+        "LIHxyv": {"HLv": ev.hessian_vector_product(x, v, "lagrangian", y_sub,
+                                                    subset)},
+    }
+    expected["HLxyv"], expected["HLIxyv"] = expected["LHxyv"], expected["LIHxyv"]
+    assert set(ACTIONS) == set(expected)
+
+    def joined(values):
+        return ",".join(repr(float(t)) for t in values)
+
+    for name, action in ACTIONS.items():
+        restricted = "I" in action.needs
+        argv = ["eval", str(dump), name, "--x=" + joined(x)]
+        if "y" in action.needs:
+            argv.append("--y=" + joined(y_sub if restricted else y))
+        if "v" in action.needs:
+            argv.append("--v=" + joined(v))
+        if restricted:
+            argv.append("--i=1")
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 0, (name, stderr)
+        payload = json.loads(stdout)
+        assert list(payload) == sorted(expected[name]), name
+        for key, value in expected[name].items():
+            got, want = _dense(payload[key]), _dense(value)
+            if isinstance(want, list):
+                assert len(got) == len(want), (name, key)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (name, key)
+            else:
+                assert np.array_equal(got, want), (name, key)

@@ -8,6 +8,7 @@ from sifgps.errors import (
     BadSubset,
     DimensionMismatch,
     DomainError,
+    MissingDerivative,
     MultiplierLengthMismatch,
     NoConstraints,
 )
@@ -129,22 +130,91 @@ LOG_ELEMENT = sif_text(
 )
 
 
+def log_group(second_derivative: bool = True) -> str:
+    """OBJ = LOG(A), through a group type whose H slot may be left out."""
+    rows = [("T", "LN"), ("F", "", "", "LOG( GVAR )"), ("G", "", "", "1.0 / GVAR")]
+    if second_derivative:
+        rows.append(("H", "", "", "-1.0 / GVAR ** 2"))
+    return sif_text(
+        "NAME T",
+        "VARIABLES",
+        ("", "A"),
+        "GROUPS",
+        ("N", "OBJ", "A", "1.0"),
+        "GROUP TYPE",
+        ("GV", "LN", "GVAR"),
+        "GROUP USES",
+        ("T", "OBJ", "LN"),
+        "ENDATA",
+        "GROUPS T",
+        "INDIVIDUALS",
+        *rows,
+        "ENDATA",
+    )
+
+
+CONSTRAINT_LOG_ELEMENT = sif_text(
+    "NAME T",
+    "VARIABLES",
+    ("", "A"),
+    ("", "B"),
+    "GROUPS",
+    ("N", "OBJ", "A", "1.0"),
+    ("E", "CON"),
+    "ELEMENT TYPE",
+    ("EV", "LG", "V1"),
+    "ELEMENT USES",
+    ("T", "E1", "LG"),
+    ("V", "E1", "V1", "", "B"),
+    "GROUP USES",
+    ("E", "CON", "E1", "1.0"),
+    "ENDATA",
+    "ELEMENTS T",
+    "INDIVIDUALS",
+    ("T", "LG"),
+    ("F", "", "", "LOG( V1 )"),
+    ("G", "V1", "", "1.0 / V1"),
+    ("H", "V1", "V1", "-1.0 / V1 ** 2"),
+    "ENDATA",
+)
+
+# One TRIVIAL linear group over all variables, as objective and as a constraint.
+WIDE_N = 1000
+WIDE_LINEAR = sif_text(
+    "NAME T",
+    ("IE", "N", "", str(WIDE_N)),
+    "VARIABLES",
+    ("DO", "I", "1", "", "N"),
+    ("X", "X(I)"),
+    ("ND",),
+    "GROUPS",
+    ("DO", "I", "1", "", "N"),
+    ("XN", "OBJ", "X(I)", "1.0"),
+    ("XE", "CON", "X(I)", "1.0"),
+    ("ND",),
+    "CONSTANTS",
+    ("", "T", "CON", "1.0"),
+    "ENDATA",
+)
+
+
 # --- group arguments ---------------------------------------------------------------
+# A TRIVIAL group with scale 1 is its own argument, so f(x) is a_0(x).
 
 
 def test_group_argument_linear():
     ev = evaluator_for(LINEAR_OBJ)
-    assert ev.group_argument(0, np.array([1.0, 1.0])) == 2.0
+    assert ev.evaluate_objective(np.array([1.0, 1.0]), 0).value == 2.0
 
 
 def test_group_argument_with_element():
     ev = evaluator_for(SQUARE_ELEMENT_OBJ)
-    assert ev.group_argument(0, np.array([3.0, 7.0])) == 9.0
+    assert ev.evaluate_objective(np.array([3.0, 7.0]), 0).value == 9.0
 
 
 def test_group_argument_zero():
     ev = evaluator_for(SQUARE_ELEMENT_OBJ)
-    assert ev.group_argument(0, np.zeros(2)) == 0.0
+    assert ev.evaluate_objective(np.zeros(2), 0).value == 0.0
 
 
 # --- objective -----------------------------------------------------------------------
@@ -360,3 +430,79 @@ def test_concurrent_evaluations_agree():
     with ThreadPoolExecutor(max_workers=8) as pool:
         outcomes = list(pool.map(evaluate, range(32)))
     assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+def test_group_domain_error_carries_group_index():
+    ev = evaluator_for(log_group())
+    with pytest.raises(DomainError) as info:
+        ev.evaluate_objective(np.array([0.0]), 0)
+    assert info.value.group_index == 0
+    assert info.value.element_index is None
+
+
+def test_constraint_element_domain_error_spares_objective():
+    ev = evaluator_for(CONSTRAINT_LOG_ELEMENT)
+    x = np.array([3.0, 0.0])
+    assert ev.evaluate_objective(x, 0).value == 3.0
+    assert ev.evaluate_objective(x, 2).gradient.tolist() == [1.0, 0.0]
+    with pytest.raises(DomainError) as info:
+        ev.evaluate_constraints(x, 0)
+    assert info.value.element_index == 0
+
+
+def test_missing_second_derivative_is_lazy():
+    ev = evaluator_for(log_group(second_derivative=False))
+    x = np.array([2.0])
+    result = ev.evaluate_objective(x, 1)
+    assert result.value == np.log(2.0)
+    assert result.gradient.tolist() == [0.5]
+    with pytest.raises(MissingDerivative):
+        ev.evaluate_objective(x, 2)
+    with pytest.raises(MissingDerivative):
+        ev.hessian_vector_product(x, np.ones(1))
+
+
+@pytest.mark.parametrize("name", ["CONSELM", "RNGLP3"])
+def test_restricted_jvp_is_bitwise_selection(name):
+    problem, internals = decode_corpus(name)
+    ev = Evaluator(problem, internals)
+    rng = np.random.default_rng(3)
+    x = problem.x0 + rng.uniform(-0.5, 0.5, problem.n)
+    v = rng.uniform(-1.0, 1.0, problem.n)
+    full = ev.jacobian_vector_product(x, v)
+    for subset in ([problem.m - 1], [problem.m - 1, 0], list(range(problem.m))):
+        assert np.array_equal(ev.jacobian_vector_product(x, v, subset=subset),
+                              full[subset])
+
+
+def test_wide_linear_group_memory_is_linear():
+    import tracemalloc
+
+    ev = evaluator_for(WIDE_LINEAR)
+    x = np.linspace(-1.0, 1.0, WIDE_N)
+    y = np.array([0.5])
+    calls = {
+        "fgHx": lambda: ev.evaluate_objective(x, 2),
+        "cJHx": lambda: ev.evaluate_constraints(x, 2),
+        "LgHxy": lambda: ev.evaluate_lagrangian(x, y, 2),
+    }
+    results, peaks = {}, {}
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            tracemalloc.reset_peak()
+            results[name] = call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(peak < 8 * 2**20 for peak in peaks.values()), peaks
+
+    total = float(np.sum(x))
+    obj, cons, lag = results["fgHx"], results["cJHx"], results["LgHxy"]
+    assert abs(obj.value - total) <= 1e-12
+    assert (obj.gradient == 1.0).all() and obj.hessian.nnz == 0
+    assert abs(cons.value[0] - (total - 1.0)) <= 1e-12
+    assert (cons.gradient.toarray() == 1.0).all()
+    assert [h.nnz for h in cons.hessian] == [0]
+    assert abs(lag.value - (total + 0.5 * (total - 1.0))) <= 1e-12
+    assert (lag.gradient == 1.5).all() and lag.hessian.nnz == 0

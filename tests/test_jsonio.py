@@ -106,3 +106,53 @@ def test_option_variants_round_trip(kwargs):
         if options.keepcformat:
             assert reloaded_problem.ctypes == problem.ctypes
             assert reloaded_problem.cranges == problem.cranges
+
+
+def _set(path, value):
+    def edit(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+def _delete(section, key):
+    def edit(data):
+        del data[section][key]
+    return edit
+
+
+def _append(section, key, value):
+    def edit(data):
+        data[section][key].append(value)
+    return edit
+
+
+# CONSELM: n = 3, m = 2, three groups, three elements
+MALFORMED_EDITS = {
+    "elvar index": (_set(("internals", "elvar", 0, 1), 3), "elvar"),
+    "grelt index": (_set(("internals", "grelt", 0, 0), 3), "grelt"),
+    "objgrps index": (_set(("internals", "objgrps"), [3]), "objgrps"),
+    "congrps index": (_set(("internals", "congrps"), [2, 3]), "congrps"),
+    "unknown elftype": (_set(("internals", "elftype", 1), "PSQX"), "elftype"),
+    "unknown grftype": (_set(("internals", "grftype", 1), "L2X"), "grftype"),
+    "missing internal key": (_delete("internals", "grelw"), "grelw"),
+    "missing problem key": (_delete("problem", "x0"), "x0"),
+    "A columns": (_set(("internals", "A", "cols"), 5), "A"),
+    "A rows": (_set(("internals", "A", "rows"), 4), "A"),
+    "x0 length": (_append("problem", "x0", 0.0), "x0"),
+    "clower length": (_append("problem", "clower", 0.0), "clower"),
+    "gscale length": (_append("internals", "gscale", 1.0), "gscale"),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_EDITS, ids=list(MALFORMED_EDITS))
+def test_malformed_dump_names_the_field(edit):
+    mutate, field = MALFORMED_EDITS[edit]
+    problem, internals = decode_corpus("CONSELM")
+    data = json.loads(dump_text(problem, internals, provenance_for("CONSELM")))
+    mutate(data)
+    with pytest.raises(MalformedRecord) as info:
+        load_problem(data)
+    assert f"field {field!r}" in info.value.message
