@@ -78,33 +78,27 @@ class Evaluator:
         self._gf_env = dict(zip(internals.gfpar_names, internals.gfpar))
         # per element: (descriptor, parameter dict, variable indices)
         self._elements = []
-        for e in range(len(internals.elftype)):
-            descriptor = internals.element_types[internals.elftype[e]]
-            params = dict(zip(descriptor.parameters, internals.elpar[e]))
-            self._elements.append((descriptor, params, internals.elvar[e]))
+        for name, values, cols in zip(internals.elftype, internals.elpar, internals.elvar):
+            descriptor = internals.element_types[name]
+            params = dict(zip(descriptor.parameters, values))
+            self._elements.append((descriptor, params, cols))
         trivial = trivial_group()
         self._groups = []
         for name, values in zip(internals.grftype, internals.grpar):
             descriptor = internals.group_types.get(name, trivial)
             self._groups.append((descriptor, dict(zip(descriptor.parameters, values))))
 
-        # element uses in group order, and each element's variables
-        empty = np.zeros(0, np.int64)
-        uses = np.array([len(g) for g in internals.grelt], dtype=np.int64)
-        self._use_ptr = np.concatenate([[0], np.cumsum(uses)])
-        self._use_elem = np.concatenate([empty, *internals.grelt])
-        self._use_w = np.concatenate([np.zeros(0), *internals.grelw])
-        size = np.array([len(v) for v in internals.elvar], dtype=np.int64)
-        self._el_ptr = np.concatenate([[0], np.cumsum(size)])
-        self._el_cols = np.concatenate([empty, *internals.elvar])
+        # element uses per group and variables per element
+        grelt, elvar = internals.grelt, internals.elvar
+        uses, size = np.diff(grelt.ptr), np.diff(elvar.ptr)
 
         # G's raw entries are A's, then each use's variables; entries on one
         # (row, column) sum into one slot of G's fixed pattern
         a = internals.A.tocoo()
-        use_size = size[self._use_elem]
-        owner, entries = _expand(self._el_ptr[self._use_elem], use_size)
+        use_size = size[grelt.flat]
+        owner, entries = _expand(elvar.ptr[grelt.flat], use_size)
         rows = np.concatenate([a.row, np.repeat(np.arange(uses.size), uses)[owner]])
-        cols = np.concatenate([a.col, self._el_cols[entries]])
+        cols = np.concatenate([a.col, elvar.flat[entries]])
         keys, slot = np.unique(rows.astype(np.int64) * self.n + cols,
                                return_inverse=True)
         g_rows, self._g_cols = np.divmod(keys, max(self.n, 1))
@@ -113,8 +107,8 @@ class Evaluator:
         self._slot, self._a_data = slot.ravel(), a.data
         self._quad = sparse.tril(internals.H).tocoo()
         # Python scalars for the walk, which reads them one at a time
-        self._scalars = (self._use_ptr.tolist(), self._use_elem.tolist(),
-                         self._use_w.tolist(),
+        self._scalars = (grelt.ptr.tolist(), grelt.flat.tolist(),
+                         internals.grelw.flat.tolist(),
                          (a.nnz + np.cumsum(use_size) - use_size).tolist(),
                          internals.gconst.tolist(), internals.gscale.tolist())
 
@@ -222,16 +216,17 @@ class Evaluator:
         """(block, row, col, value) of mu_e P_e^T H_e P_e; c1 is lambda d1."""
         positions = np.flatnonzero(c1 != 0.0)
         groups, n_el = walk.groups[positions], max(len(self._elements), 1)
-        owner, uses = _expand(self._use_ptr[groups],
-                              self._use_ptr[groups + 1] - self._use_ptr[groups])
-        key = self._use_elem[uses] + (positions[owner] * n_el if split else 0)
+        grelt, elvar = self.internals.grelt, self.internals.elvar
+        owner, uses = _expand(grelt.ptr[groups], grelt.ptr[groups + 1] - grelt.ptr[groups])
+        key = grelt.flat[uses] + (positions[owner] * n_el if split else 0)
         keys, inverse = np.unique(key, return_inverse=True)
-        mu = np.bincount(inverse.ravel(), c1[positions][owner] * self._use_w[uses])
+        mu = np.bincount(inverse.ravel(),
+                         c1[positions][owner] * self.internals.grelw.flat[uses])
         block, elems = np.divmod(keys, n_el)
-        owner, p, q = _square(self._el_ptr, elems)
+        owner, p, q = _square(elvar.ptr, elems)
         hessians = np.concatenate(
             [np.zeros(0), *(walk.elements[e][2].ravel() for e in elems.tolist())])
-        return block[owner], self._el_cols[p], self._el_cols[q], mu[owner] * hessians
+        return block[owner], elvar.flat[p], elvar.flat[q], mu[owner] * hessians
 
     def _hessian(self, walk: _Walk, quad: bool, split: bool = False):
         """Mirrored lower triangle of the weighted Hessian, or with split, one per group."""

@@ -42,6 +42,7 @@ from .expressions import (
 from .model import (
     DecodedProblem,
     ProblemInternals,
+    Ragged,
     build_csr,
     classify_and_order,
     convert_constraint_format,
@@ -1013,8 +1014,8 @@ class _Builder:
         # elements
         nelem = len(self.ereg)
         elftype: list[str] = []
-        elvar: list[np.ndarray] = []
-        elpar: list[np.ndarray] = []
+        elvar: list[list[int]] = []
+        elpar: list[list[float]] = []
         element_names = self.ereg.names
         for e in range(nelem):
             type_name = self.eltype_map.get(e, self.default_eltype)
@@ -1042,16 +1043,14 @@ class _Builder:
                         f"parameter {pname!r}")
                 values.append(given[pname])
             elftype.append(type_name)
-            elvar.append(np.array(indices, dtype=np.int64))
-            elpar.append(np.array(values))
+            elvar.append(indices)
+            elpar.append(values)
 
         # groups
         group_names = self.greg.names
         group_types = dict(group_part.descriptors)
         grftype: list[str] = []
-        grelt: list[np.ndarray] = []
-        grelw: list[np.ndarray] = []
-        grpar: list[np.ndarray] = []
+        grpar: list[list[float]] = []
         trivial = trivial_group()
         for g in range(ngroups):
             type_name = self.grftype_map.get(g, self.default_grtype or TRIVIAL_GROUP_NAME)
@@ -1076,12 +1075,13 @@ class _Builder:
                     f"group {group_names[g]!r} sets unknown parameter(s) "
                     f"{sorted(extra)}")
             grftype.append(type_name)
-            grelt.append(np.array(self.grelt_map.get(g, []), dtype=np.int64))
-            grelw.append(np.array(self.grelw_map.get(g, [])))
-            grpar.append(np.array(values))
+            grpar.append(values)
+        grelt = Ragged.from_rows([self.grelt_map.get(g, []) for g in range(ngroups)],
+                                 np.int64)
+        grelw = Ragged(grelt.ptr, np.array(
+            [w for g in range(ngroups) for w in self.grelw_map.get(g, [])], dtype=float))
 
-        lincons = np.array([k for k, g in enumerate(congrps)
-                            if len(grelt[int(g)]) == 0], dtype=np.int64)
+        lincons = np.flatnonzero(np.diff(grelt.ptr)[congrps] == 0)
 
         name = rename_problem(self.program.problem_name)
         sif_name = self.program.problem_name if name != self.program.problem_name else None
@@ -1106,9 +1106,9 @@ class _Builder:
             objgrps=np.array(objective, dtype=np.int64),
             congrps=congrps,
             A=A, gconst=gconst, H=H, gscale=gscale,
-            elftype=tuple(elftype), elvar=tuple(elvar), elpar=tuple(elpar),
-            grftype=tuple(grftype), grelt=tuple(grelt), grelw=tuple(grelw),
-            grpar=tuple(grpar),
+            elftype=tuple(elftype), elvar=Ragged.from_rows(elvar, np.int64),
+            elpar=Ragged.from_rows(elpar, float), grftype=tuple(grftype),
+            grelt=grelt, grelw=grelw, grpar=Ragged.from_rows(grpar, float),
             efpar=np.array(element_part.global_values),
             efpar_names=element_part.global_names,
             gfpar=np.array(group_part.global_values),

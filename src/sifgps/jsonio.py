@@ -2,79 +2,111 @@
 
 The dump is the package's durable problem representation: format_version 1,
 zero-based indices, infinities written as the strings "inf"/"-inf", sparse
-matrices as row-major coordinate lists.  Dump -> load -> dump is
-byte-identical.
+matrices as row-major coordinate lists, ragged tables as lists of rows.
+Dump -> load -> dump is byte-identical.  FIELDS lists every field once, with
+its codec and the count its length must equal; dump, load and the length
+checks all read it.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from dataclasses import dataclass, fields
+from itertools import chain
+from typing import Any, Callable
 
 import numpy as np
 from scipy import sparse
 
 from .errors import MalformedRecord
 from .expressions import (
-    TRIVIAL_GROUP_NAME,
     ElementDescriptor,
     ExpressionProgram,
     GroupDescriptor,
     node_from_json,
     node_to_json,
 )
-from .model import DecodedProblem, ProblemInternals, build_csr
+from .model import DecodedProblem, ProblemInternals, Ragged, build_csr
 
 FORMAT_VERSION = 1
 
 
-def _num(value: float):
-    value = float(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if math.isnan(value):
+# -- array-level value codecs -------------------------------------------------
+
+
+def _kinds(values, field: str, allowed: set) -> set:
+    """The item types of a JSON list, which must all be allowed."""
+    if not isinstance(values, list):
+        raise MalformedRecord(f"field {field!r} is not a list")
+    kinds = set(map(type, values))
+    if not kinds <= allowed:
+        raise MalformedRecord(f"field {field!r} holds a value of type "
+                              f"{min(kind.__name__ for kind in kinds - allowed)}")
+    return kinds
+
+
+def _floats_out(values) -> list:
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
         raise MalformedRecord("NaN cannot be serialized")
+    if not np.isinf(values).any():
+        return values.tolist()
+    out = values.astype(object)
+    out[values == np.inf] = "inf"
+    out[values == -np.inf] = "-inf"
+    return out.tolist()
+
+
+def _floats_in(values, field: str) -> np.ndarray:
+    if str in _kinds(values, field, {float, int, str}):
+        text = {v for v in set(values) if type(v) is str} - {"inf", "-inf"}
+        if text:
+            raise MalformedRecord(f"field {field!r} holds the bad numeric string "
+                                  f"{min(text)!r}")
+    array = np.array(values, dtype=float)
+    if np.isnan(array).any():
+        raise MalformedRecord(f"field {field!r} holds NaN")
+    return array
+
+
+def _ints_in(values, field: str) -> np.ndarray:
+    _kinds(values, field, {int})
+    return np.array(values, dtype=np.int64)
+
+
+def _count_in(value, field: str) -> int:
+    if type(value) is not int or value < 0:
+        raise MalformedRecord(f"field {field!r} is {value!r}, not a count")
     return value
 
 
-def _denum(value) -> float:
-    if isinstance(value, str):
-        if value == "inf":
-            return math.inf
-        if value == "-inf":
-            return -math.inf
-        raise MalformedRecord(f"bad numeric string {value!r}")
-    return float(value)
+def _names_in(values, field: str) -> tuple[str, ...]:
+    _kinds(values, field, {str})
+    return tuple(values)
 
 
-def _vector(values) -> list:
-    return [_num(v) for v in values]
-
-
-def _devector(values) -> np.ndarray:
-    return np.array([_denum(v) for v in values], dtype=float)
-
-
-def _opt_vector(values):
-    return None if values is None else _vector(values)
-
-
-def _opt_devector(values):
-    return None if values is None else _devector(values)
-
-
-def _matrix(m: sparse.csr_matrix) -> dict:
-    coo = m.tocoo()
+def _matrix_out(matrix) -> dict:
+    coo = sparse.coo_matrix(matrix)
     order = np.lexsort((coo.col, coo.row))
-    entries = [[int(coo.row[k]), int(coo.col[k]), _num(coo.data[k])] for k in order]
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}
+    entries = zip(coo.row[order].tolist(), coo.col[order].tolist(),
+                  _floats_out(coo.data[order]))
+    return {"rows": int(matrix.shape[0]), "cols": int(matrix.shape[1]),
+            "entries": list(map(list, entries))}
 
 
-def _dematrix(data: dict) -> sparse.csr_matrix:
+def _matrix_in(data, field: str) -> sparse.csr_matrix:
+    shape = (_count_in(data["rows"], field), _count_in(data["cols"], field))
     entries = data["entries"]
-    return build_csr([e[0] for e in entries], [e[1] for e in entries],
-                     [_denum(e[2]) for e in entries],
-                     (data["rows"], data["cols"]))
+    _kinds(entries, field, {list})
+    if set(map(len, entries)) - {3}:
+        raise MalformedRecord(f"field {field!r} has an entry that is not "
+                              f"[row, column, value]")
+    rows, cols, values = map(list, zip(*entries)) if entries else ([], [], [])
+    return build_csr(_ints_in(rows, field), _ints_in(cols, field),
+                     _floats_in(values, field), shape)
+
+
+# -- function programs ----------------------------------------------------------
 
 
 def _program(program: ExpressionProgram) -> dict:
@@ -106,32 +138,24 @@ def _deprogram(data: dict, variables: tuple[str, ...],
 
 
 def _element_type(desc: ElementDescriptor) -> dict:
-    matrix = None
-    if desc.range_matrix is not None:
-        rows, cols = desc.range_matrix.shape
-        matrix = {"rows": rows, "cols": cols,
-                  "entries": [[i, j, _num(desc.range_matrix[i, j])]
-                              for i in range(rows) for j in range(cols)
-                              if desc.range_matrix[i, j] != 0.0]}
     return {
         "elemental": list(desc.elemental),
         "internal": list(desc.internal),
         "parameters": list(desc.parameters),
-        "range_matrix": matrix,
+        "range_matrix": (None if desc.range_matrix is None
+                         else _matrix_out(desc.range_matrix)),
         "program": _program(desc.program),
     }
 
 
 def _de_element_type(name: str, data: dict) -> ElementDescriptor:
-    elemental = tuple(data["elemental"])
-    internal = tuple(data["internal"])
-    parameters = tuple(data["parameters"])
-    matrix = None
-    if data["range_matrix"] is not None:
-        matrix = np.zeros((data["range_matrix"]["rows"],
-                           data["range_matrix"]["cols"]))
-        for i, j, value in data["range_matrix"]["entries"]:
-            matrix[i, j] = _denum(value)
+    field = f"element_types.{name}"
+    elemental = _names_in(data["elemental"], field)
+    internal = _names_in(data["internal"], field)
+    parameters = _names_in(data["parameters"], field)
+    matrix = data["range_matrix"]
+    if matrix is not None:
+        matrix = _matrix_in(matrix, field).toarray()
     program = _deprogram(data["program"], internal if internal else elemental,
                          parameters)
     return ElementDescriptor(name, elemental, internal, parameters, matrix, program)
@@ -146,131 +170,155 @@ def _group_type(desc: GroupDescriptor) -> dict:
 
 
 def _de_group_type(name: str, data: dict) -> GroupDescriptor:
-    parameters = tuple(data["parameters"])
+    parameters = _names_in(data["parameters"], f"group_types.{name}")
     program = _deprogram(data["program"], (data["argument"],), parameters)
     return GroupDescriptor(name, data["argument"], parameters, program)
 
 
+# -- the field table ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Codec:
+    dump: Callable[[Any], Any]
+    load: Callable[[Any, str], Any]    # (JSON value, field name) -> value
+
+
+def _optional(codec: _Codec) -> _Codec:
+    return _Codec(lambda value: None if value is None else codec.dump(value),
+                  lambda data, field: None if data is None else codec.load(data, field))
+
+
+def _ragged(flat: _Codec) -> _Codec:
+    """A Ragged table as a list of rows, its values through the flat codec."""
+    def dump(table: Ragged) -> list:
+        values, ptr = flat.dump(table.flat), table.ptr.tolist()
+        return [values[start:stop] for start, stop in zip(ptr, ptr[1:])]
+
+    def load(rows, field: str) -> Ragged:
+        _kinds(rows, field, {list})
+        return Ragged(np.cumsum([0, *map(len, rows)]),
+                      flat.load(list(chain.from_iterable(rows)), field))
+    return _Codec(dump, load)
+
+
+def _types(dump_one, load_one) -> _Codec:
+    return _Codec(lambda types: {name: dump_one(desc) for name, desc in types.items()},
+                  lambda data, field: {name: load_one(name, desc)
+                                       for name, desc in data.items()})
+
+
+_TEXT = _Codec(str, lambda data, field: _names_in([data], field)[0])
+_COUNT = _Codec(int, _count_in)
+_NUMBER = _optional(_Codec(lambda value: _floats_out([value])[0],
+                           lambda data, field: float(_floats_in([data], field)[0])))
+_VECTOR = _Codec(_floats_out, _floats_in)
+_INDICES = _Codec(np.ndarray.tolist, _ints_in)
+_NAMES = _Codec(list, _names_in)
+_MATRIX = _Codec(_matrix_out, _matrix_in)
+_RANGES = _Codec(lambda ranges: list(map(_NUMBER.dump, ranges)),  # optional numbers
+                 lambda data, field: tuple(_NUMBER.load(r, field) for r in data))
+_ALT_SETS = _Codec(lambda sets: {key: list(names) for key, names in sets.items()},
+                   lambda data, field: {key: _names_in(names, field)
+                                        for key, names in data.items()})
+
+# dump path -> (attribute of DecodedProblem or ProblemInternals, codec, the
+# earlier attribute whose count or length fixes its length, or a matrix's two)
+FIELDS: dict[str, tuple[str, _Codec, Any]] = {
+    "problem.name": ("name", _TEXT, None),
+    "problem.sif_name": ("sif_name", _optional(_TEXT), None),
+    "problem.n": ("n", _COUNT, None),
+    "problem.nob": ("nob", _COUNT, None),
+    "problem.nle": ("nle", _COUNT, None),
+    "problem.neq": ("neq", _COUNT, None),
+    "problem.nge": ("nge", _COUNT, None),
+    "problem.m": ("m", _COUNT, None),
+    "problem.lincons": ("lincons", _INDICES, None),
+    "problem.pbclass": ("pbclass", _TEXT, None),
+    "problem.x0": ("x0", _VECTOR, "n"),
+    "problem.xlower": ("xlower", _VECTOR, "n"),
+    "problem.xupper": ("xupper", _VECTOR, "n"),
+    "problem.xtype": ("xtype", _TEXT, "n"),
+    "problem.xscale": ("xscale", _optional(_VECTOR), "n"),
+    "problem.y0": ("y0", _optional(_VECTOR), "m"),
+    "problem.clower": ("clower", _optional(_VECTOR), "m"),
+    "problem.cupper": ("cupper", _optional(_VECTOR), "m"),
+    "problem.ctypes": ("ctypes", _optional(_NAMES), "m"),
+    "problem.cranges": ("cranges", _optional(_RANGES), "m"),
+    "problem.objlower": ("objlower", _NUMBER, None),
+    "problem.objupper": ("objupper", _NUMBER, None),
+    "problem.xnames": ("xnames", _optional(_NAMES), "n"),
+    "problem.cnames": ("cnames", _optional(_NAMES), "m"),
+    "internals.elftype": ("elftype", _NAMES, None),
+    "internals.grftype": ("grftype", _NAMES, None),
+    "internals.objgrps": ("objgrps", _INDICES, "nob"),
+    "internals.congrps": ("congrps", _INDICES, "m"),
+    "internals.A": ("A", _MATRIX, ("grftype", "n")),
+    "internals.H": ("H", _MATRIX, ("n", "n")),
+    "internals.gconst": ("gconst", _VECTOR, "grftype"),
+    "internals.gscale": ("gscale", _VECTOR, "grftype"),
+    "internals.elvar": ("elvar", _ragged(_INDICES), "elftype"),
+    "internals.elpar": ("elpar", _ragged(_VECTOR), "elftype"),
+    "internals.grelt": ("grelt", _ragged(_INDICES), "grftype"),
+    "internals.grelw": ("grelw", _ragged(_VECTOR), "grftype"),
+    "internals.grpar": ("grpar", _ragged(_VECTOR), "grftype"),
+    "internals.efpar.names": ("efpar_names", _NAMES, None),
+    "internals.efpar.values": ("efpar", _VECTOR, "efpar_names"),
+    "internals.gfpar.names": ("gfpar_names", _NAMES, None),
+    "internals.gfpar.values": ("gfpar", _VECTOR, "gfpar_names"),
+    "internals.element_types": ("element_types",
+                                _types(_element_type, _de_element_type), None),
+    "internals.group_types": ("group_types", _types(_group_type, _de_group_type), None),
+    "internals.enames": ("enames", _optional(_NAMES), "elftype"),
+    "internals.grnames": ("grnames", _optional(_NAMES), "grftype"),
+    "internals.alt_sets": ("alt_sets", _ALT_SETS, None),
+}
+
+
 def dump_problem(problem: DecodedProblem, internals: ProblemInternals,
                  provenance: dict) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "provenance": provenance,
-        "problem": {
-            "name": problem.name,
-            "sif_name": problem.sif_name,
-            "n": problem.n,
-            "nob": problem.nob,
-            "nle": problem.nle,
-            "neq": problem.neq,
-            "nge": problem.nge,
-            "m": problem.m,
-            "lincons": [int(k) for k in problem.lincons],
-            "pbclass": problem.pbclass,
-            "x0": _vector(problem.x0),
-            "xlower": _vector(problem.xlower),
-            "xupper": _vector(problem.xupper),
-            "xtype": problem.xtype,
-            "xscale": _opt_vector(problem.xscale),
-            "y0": _opt_vector(problem.y0),
-            "clower": _opt_vector(problem.clower),
-            "cupper": _opt_vector(problem.cupper),
-            "ctypes": list(problem.ctypes) if problem.ctypes is not None else None,
-            "cranges": ([None if r is None else _num(r) for r in problem.cranges]
-                        if problem.cranges is not None else None),
-            "objlower": None if problem.objlower is None else _num(problem.objlower),
-            "objupper": None if problem.objupper is None else _num(problem.objupper),
-            "xnames": list(problem.xnames) if problem.xnames is not None else None,
-            "cnames": list(problem.cnames) if problem.cnames is not None else None,
-        },
-        "internals": {
-            "objgrps": [int(g) for g in internals.objgrps],
-            "congrps": [int(g) for g in internals.congrps],
-            "A": _matrix(internals.A),
-            "H": _matrix(internals.H),
-            "gconst": _vector(internals.gconst),
-            "gscale": _vector(internals.gscale),
-            "elftype": list(internals.elftype),
-            "elvar": [[int(v) for v in row] for row in internals.elvar],
-            "elpar": [_vector(row) for row in internals.elpar],
-            "grftype": list(internals.grftype),
-            "grelt": [[int(e) for e in row] for row in internals.grelt],
-            "grelw": [_vector(row) for row in internals.grelw],
-            "grpar": [_vector(row) for row in internals.grpar],
-            "efpar": {"names": list(internals.efpar_names),
-                      "values": _vector(internals.efpar)},
-            "gfpar": {"names": list(internals.gfpar_names),
-                      "values": _vector(internals.gfpar)},
-            "element_types": {name: _element_type(desc)
-                              for name, desc in internals.element_types.items()},
-            "group_types": {name: _group_type(desc)
-                            for name, desc in internals.group_types.items()},
-            "enames": list(internals.enames) if internals.enames is not None else None,
-            "grnames": (list(internals.grnames)
-                        if internals.grnames is not None else None),
-            "alt_sets": {k: list(v) for k, v in internals.alt_sets.items()},
-        },
-    }
-
-
-def _check_tables(problem: DecodedProblem, internals: ProblemInternals) -> None:
-    """Reject tables whose sizes, indices or type names do not fit together."""
-    n, m = problem.n, problem.m
-    n_groups, n_elements = len(internals.grftype), len(internals.elftype)
-    sizes = [
-        (n, "n", {"x0": problem.x0, "xlower": problem.xlower,
-                  "xupper": problem.xupper, "xscale": problem.xscale,
-                  "xtype": problem.xtype, "xnames": problem.xnames}),
-        (m, "m", {"y0": problem.y0, "clower": problem.clower,
-                  "cupper": problem.cupper, "ctypes": problem.ctypes,
-                  "cranges": problem.cranges, "cnames": problem.cnames,
-                  "congrps": internals.congrps}),
-        (problem.nob, "nob", {"objgrps": internals.objgrps}),
-        (n_groups, "the number of groups",
-         {"gconst": internals.gconst, "gscale": internals.gscale,
-          "grelt": internals.grelt, "grelw": internals.grelw,
-          "grpar": internals.grpar}),
-        (n_elements, "the number of elements",
-         {"elvar": internals.elvar, "elpar": internals.elpar}),
-    ]
-    for size, label, fields in sizes:
-        for field, values in fields.items():
-            if values is not None and len(values) != size:
-                raise MalformedRecord(f"field {field!r} has length {len(values)}, "
-                                      f"not {label} = {size}")
-    for field, matrix, shape in (("A", internals.A, (n_groups, n)),
-                                 ("H", internals.H, (n, n))):
-        if matrix.shape != shape:
-            raise MalformedRecord(
-                f"field {field!r} has shape {matrix.shape}, not {shape}")
-    for field, rows, bound in (("elvar", internals.elvar, n),
-                               ("grelt", internals.grelt, n_elements),
-                               ("objgrps", (internals.objgrps,), n_groups),
-                               ("congrps", (internals.congrps,), n_groups)):
-        flat = np.concatenate([np.zeros(0, np.int64), *rows])
-        if flat.size and (flat.min() < 0 or flat.max() >= bound):
-            raise MalformedRecord(
-                f"field {field!r} holds an index outside [0, {bound})")
-    for field, names, known in (
-            ("elftype", internals.elftype, set(internals.element_types)),
-            ("grftype", internals.grftype,
-             set(internals.group_types) | {TRIVIAL_GROUP_NAME})):
-        unknown = set(names) - known
-        if unknown:
-            raise MalformedRecord(
-                f"field {field!r} names unknown type(s) {sorted(unknown)}")
+    data = {"format_version": FORMAT_VERSION, "provenance": provenance}
+    owners = {"problem": problem, "internals": internals}
+    for path, (attribute, codec, _) in FIELDS.items():
+        section, *parents, key = path.split(".")
+        node = data.setdefault(section, {})
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = codec.dump(getattr(owners[section], attribute))
+    return data
 
 
 def load_problem(data: dict) -> tuple[DecodedProblem, ProblemInternals, dict]:
     """Rebuild a decoded problem from its dump, raising MalformedRecord on a bad one."""
-    if data.get("format_version") != FORMAT_VERSION:
-        raise MalformedRecord(
-            f"unsupported dump format_version {data.get('format_version')!r}")
-    try:
-        problem, internals = _load_tables(data)
-    except KeyError as exc:
-        raise MalformedRecord(f"dump has no field {exc.args[0]!r}") from None
-    _check_tables(problem, internals)
+    version = data.get("format_version") if isinstance(data, dict) else None
+    if version != FORMAT_VERSION:
+        raise MalformedRecord(f"unsupported dump format_version {version!r}")
+    values: dict[str, Any] = {}          # attribute -> its value
+    for path, (attribute, codec, length) in FIELDS.items():
+        node = data
+        for key in path.split("."):
+            if not isinstance(node, dict) or key not in node:
+                raise MalformedRecord(f"dump has no field {key!r}")
+            node = node[key]
+        field = path.split(".", 1)[1]
+        try:
+            value = values[attribute] = codec.load(node, field)
+        except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
+            raise MalformedRecord(f"field {field!r} is malformed: "
+                                  f"{type(exc).__name__}: {exc}") from None
+        if length is None or value is None:
+            continue
+        labels = (length,) if isinstance(length, str) else length
+        expected = tuple(values[label] if type(values[label]) is int
+                         else len(values[label]) for label in labels)
+        actual = value.shape if hasattr(value, "shape") else (len(value),)
+        if actual != expected:
+            raise MalformedRecord(f"field {field!r} has shape {actual}, not "
+                                  f"{expected} from {', '.join(labels)}")
+    problem = DecodedProblem(**{f.name: values[f.name] for f in fields(DecodedProblem)})
+    internals = ProblemInternals(**{f.name: values[f.name]
+                                    for f in fields(ProblemInternals)})
     problem.validate()
     internals.validate()
     globals_ef = frozenset(internals.efpar_names)
@@ -280,63 +328,6 @@ def load_problem(data: dict) -> tuple[DecodedProblem, ProblemInternals, dict]:
     for desc in internals.group_types.values():
         desc.program.validate(globals_gf)
     return problem, internals, data.get("provenance", {})
-
-
-def _load_tables(data: dict) -> tuple[DecodedProblem, ProblemInternals]:
-    p = data["problem"]
-    problem = DecodedProblem(
-        name=p["name"],
-        sif_name=p["sif_name"],
-        n=p["n"], nob=p["nob"], nle=p["nle"], neq=p["neq"], nge=p["nge"], m=p["m"],
-        lincons=np.array(p["lincons"], dtype=np.int64),
-        pbclass=p["pbclass"],
-        x0=_devector(p["x0"]),
-        xlower=_devector(p["xlower"]),
-        xupper=_devector(p["xupper"]),
-        xtype=p["xtype"],
-        xscale=_opt_devector(p["xscale"]),
-        y0=_opt_devector(p["y0"]),
-        clower=_opt_devector(p["clower"]),
-        cupper=_opt_devector(p["cupper"]),
-        ctypes=tuple(p["ctypes"]) if p["ctypes"] is not None else None,
-        cranges=(tuple(None if r is None else _denum(r) for r in p["cranges"])
-                 if p["cranges"] is not None else None),
-        objlower=None if p["objlower"] is None else _denum(p["objlower"]),
-        objupper=None if p["objupper"] is None else _denum(p["objupper"]),
-        xnames=tuple(p["xnames"]) if p["xnames"] is not None else None,
-        cnames=tuple(p["cnames"]) if p["cnames"] is not None else None,
-    )
-    i = data["internals"]
-    element_types = {name: _de_element_type(name, desc)
-                     for name, desc in i["element_types"].items()}
-    group_types = {name: _de_group_type(name, desc)
-                   for name, desc in i["group_types"].items()}
-    internals = ProblemInternals(
-        name=p["name"],
-        objgrps=np.array(i["objgrps"], dtype=np.int64),
-        congrps=np.array(i["congrps"], dtype=np.int64),
-        A=_dematrix(i["A"]),
-        H=_dematrix(i["H"]),
-        gconst=_devector(i["gconst"]),
-        gscale=_devector(i["gscale"]),
-        elftype=tuple(i["elftype"]),
-        elvar=tuple(np.array(row, dtype=np.int64) for row in i["elvar"]),
-        elpar=tuple(_devector(row) for row in i["elpar"]),
-        grftype=tuple(i["grftype"]),
-        grelt=tuple(np.array(row, dtype=np.int64) for row in i["grelt"]),
-        grelw=tuple(_devector(row) for row in i["grelw"]),
-        grpar=tuple(_devector(row) for row in i["grpar"]),
-        efpar=_devector(i["efpar"]["values"]),
-        efpar_names=tuple(i["efpar"]["names"]),
-        gfpar=_devector(i["gfpar"]["values"]),
-        gfpar_names=tuple(i["gfpar"]["names"]),
-        element_types=element_types,
-        group_types=group_types,
-        enames=tuple(i["enames"]) if i["enames"] is not None else None,
-        grnames=tuple(i["grnames"]) if i["grnames"] is not None else None,
-        alt_sets={k: tuple(v) for k, v in i["alt_sets"].items()},
-    )
-    return problem, internals
 
 
 def dumps_canonical(data: dict) -> str:

@@ -7,12 +7,18 @@ ordering/format/scaling rules applied when a problem is assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
 
-from .errors import InvalidBounds, RangeSignViolation, ZeroScaleFactor
-from .expressions import ElementDescriptor, GroupDescriptor
+from .errors import InvalidBounds, MalformedRecord, RangeSignViolation, ZeroScaleFactor
+from .expressions import (
+    TRIVIAL_GROUP_NAME,
+    ElementDescriptor,
+    GroupDescriptor,
+    trivial_group,
+)
 
 RELATIONS = ("<=", "==", ">=")
 
@@ -140,11 +146,40 @@ class DecodedProblem:
 
 
 @dataclass(frozen=True, eq=False)
+class Ragged:
+    """A table of variable-length rows: row k is flat[ptr[k]:ptr[k + 1]].
+
+    LANCELOT's layout for its ISTAEV/IELVAR and ISTADG/IELING pairs.
+    """
+
+    ptr: np.ndarray                # int64, one more entry than there are rows
+    flat: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: list, dtype) -> Ragged:
+        return cls(np.cumsum([0, *map(len, rows)]),
+                   np.array(list(chain.from_iterable(rows)), dtype=dtype))
+
+    def __len__(self) -> int:
+        return self.ptr.size - 1
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        k = range(len(self))[k]        # negative rows count from the end
+        return self.flat[self.ptr[k]:self.ptr[k + 1]]
+
+    def __iter__(self):
+        ptr = self.ptr.tolist()
+        return (self.flat[start:stop] for start, stop in zip(ptr, ptr[1:]))
+
+
+@dataclass(frozen=True, eq=False)
 class ProblemInternals:
     """Evaluation structure: group/element tables and sparse matrices.
 
     Group i's argument adds its linear term:
     a_i(x) = sum_j w_ij f_j + sum_j A_ij x_j - gconst_i.
+    Per-element and per-group rows are Ragged tables; grelt and grelw have
+    the same row pointers.
 
     Shared by evaluators; immutable after setup.
     """
@@ -157,12 +192,12 @@ class ProblemInternals:
     H: sparse.csr_matrix           # symmetric n x n quadratic term
     gscale: np.ndarray
     elftype: tuple[str, ...]
-    elvar: tuple[np.ndarray, ...]
-    elpar: tuple[np.ndarray, ...]
+    elvar: Ragged                  # each element's variables
+    elpar: Ragged                  # each element's parameter values
     grftype: tuple[str, ...]
-    grelt: tuple[np.ndarray, ...]
-    grelw: tuple[np.ndarray, ...]
-    grpar: tuple[np.ndarray, ...]
+    grelt: Ragged                  # each group's elements
+    grelw: Ragged                  # their weights
+    grpar: Ragged                  # each group's parameter values
     efpar: np.ndarray
     efpar_names: tuple[str, ...]
     gfpar: np.ndarray
@@ -178,14 +213,38 @@ class ProblemInternals:
         return self.A.shape[0]
 
     def validate(self) -> None:
-        obj = set(self.objgrps.tolist())
-        con = set(self.congrps.tolist())
-        if obj & con:
+        """Check that the tables fit together, naming the field that does not."""
+        def widths(type_field: str, types: dict, attribute: str) -> np.ndarray:
+            """Each row's width: the length of that attribute of its type."""
+            names = getattr(self, type_field)
+            unknown = set(names) - set(types)
+            if unknown:
+                raise MalformedRecord(
+                    f"field {type_field!r} names unknown type(s) {sorted(unknown)}")
+            per_type = {name: len(getattr(desc, attribute)) for name, desc in types.items()}
+            return np.fromiter(map(per_type.__getitem__, names), np.int64, len(names))
+
+        group_types = {TRIVIAL_GROUP_NAME: trivial_group(), **self.group_types}
+        for field_name, table, expected in (
+                ("elvar", self.elvar, widths("elftype", self.element_types, "elemental")),
+                ("elpar", self.elpar, widths("elftype", self.element_types, "parameters")),
+                ("grpar", self.grpar, widths("grftype", group_types, "parameters")),
+                ("grelw", self.grelw, np.diff(self.grelt.ptr))):
+            sizes = np.diff(table.ptr)
+            bad = np.flatnonzero(sizes != expected)
+            if bad.size:
+                raise MalformedRecord(f"field {field_name!r} row {bad[0]} has "
+                                      f"{sizes[bad[0]]} entries, not {expected[bad[0]]}")
+        for field_name, index, bound in (("elvar", self.elvar.flat, self.A.shape[1]),
+                                         ("grelt", self.grelt.flat, len(self.elftype)),
+                                         ("objgrps", self.objgrps, self.n_groups),
+                                         ("congrps", self.congrps, self.n_groups)):
+            if index.size and (index.min() < 0 or index.max() >= bound):
+                raise MalformedRecord(
+                    f"field {field_name!r} holds an index outside [0, {bound})")
+        if np.intersect1d(self.objgrps, self.congrps).size:
             raise InvalidBounds("a group belongs to both the objective and a constraint")
         if np.any(self.gscale == 0.0):
             raise ZeroScaleFactor("group scale factor 0")
-        for gi in range(self.n_groups):
-            if len(self.grelt[gi]) != len(self.grelw[gi]):
-                raise InvalidBounds(f"group {gi} has mismatched element/weight lists")
         if (self.H != self.H.T).nnz != 0:
             raise InvalidBounds("quadratic matrix is not symmetric")

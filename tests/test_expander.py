@@ -386,6 +386,31 @@ def test_z_form_bounds_take_parameter_values():
     assert problem.xlower.tolist() == [0.0]
 
 
+def test_bound_codes_and_default_bounds():
+    from conftest import sif_text
+
+    text = sif_text(
+        "NAME T",
+        "VARIABLES",
+        ("", "A"),
+        ("", "B"),
+        ("", "C"),
+        ("", "D"),
+        "GROUPS",
+        ("N", "OBJ", "A", "1.0"),
+        "BOUNDS",
+        ("UP", "BND", "'DEFAULT'", "10.0"),
+        ("LO", "BND", "'DEFAULT'", "-1.0"),
+        ("FX", "BND", "A", "3.0"),
+        ("MI", "BND", "B"),
+        ("PL", "BND", "C"),
+        "ENDATA",
+    )
+    problem, _ = decode(text)
+    assert problem.xlower.tolist() == [3.0, -np.inf, -1.0, -1.0]
+    assert problem.xupper.tolist() == [3.0, 10.0, np.inf, 10.0]
+
+
 def test_bad_range_sign_is_a_decode_error():
     from conftest import sif_text
     from sifgps.errors import RangeSignViolation

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -24,6 +25,27 @@ def test_dump_load_dump_is_byte_identical(name):
     reloaded = load_text(first)
     second = dump_text(*reloaded)
     assert first == second
+
+
+# sha256 of each corpus dump in format_version 1.  Dump -> load -> dump cannot
+# see an encoder change, because both directions change together; these can.
+DUMP_SHA256 = {
+    "ROSENBR": "098b963943ca740f0262738a640f97570b2acf455efbd9a25de22f3af6c2b4cf",
+    "BNDQUAD": "e5cffdc707ac407d6fd857705dc1854bca8f694c274719dcedc428549c1b9324",
+    "RNGLP3": "6b7561488222612fa0e68bbe4825dd118d97f8e2f7def550be6ab6171451ae56",
+    "CONSELM": "1e30f6d0270049df8faa17693d305b55c50701d6bff7d887f6a8841ca05641ec",
+    "LOOPQD": "05b80496c90aa40369f23eb3072e9a090a3e66a4cd640d71272ccf50dd5c22f0",
+    "VSCALE": "dbabaf210b07ae6c867482974a18a10f45640eb1ba4200897c27aeac7d085dc9",
+    "GRPWGT": "6d40529d1105daf04832829c942ec883dc3e938690cde87c6afc33ba6883f626",
+    "MPSROWS": "a3a0e84777a39ea72c2a782b5af3ba9b9b8558ccbc682fd8080e472caf22d109",
+}
+
+
+@pytest.mark.parametrize("name", GOOD_CORPUS)
+def test_dump_bytes_are_pinned(name):
+    problem, internals = decode_corpus(name)
+    text = dump_text(problem, internals, provenance_for(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[name]
 
 
 @pytest.mark.parametrize("name", ["CONSELM", "GRPWGT", "VSCALE"])
@@ -144,6 +166,19 @@ MALFORMED_EDITS = {
     "x0 length": (_append("problem", "x0", 0.0), "x0"),
     "clower length": (_append("problem", "clower", 0.0), "clower"),
     "gscale length": (_append("internals", "gscale", 1.0), "gscale"),
+    "elvar row width": (_set(("internals", "elvar", 1), [2, 0]), "elvar"),
+    "elpar missing value": (_set(("internals", "elpar", 1), []), "elpar"),
+    "elpar extra value": (_set(("internals", "elpar", 0), [1.0]), "elpar"),
+    "grpar extra value": (_set(("internals", "grpar", 1), [1.0]), "grpar"),
+    "grelt/grelw rows": (_set(("internals", "grelw", 0), [1.0]), "grelw"),
+    "non-integer index": (_set(("internals", "elvar", 0, 0), 0.5), "elvar"),
+    "non-integer count": (_set(("problem", "n"), "3"), "n"),
+    "null vector": (_set(("problem", "x0"), None), "x0"),
+    "list in a vector": (_set(("problem", "x0", 0), [0.2]), "x0"),
+    "A entry pair": (_set(("internals", "A", "entries", 0), [0, 0]), "A"),
+    "ragged table not a list": (_set(("internals", "elvar"), 5), "elvar"),
+    "nan string": (_set(("problem", "x0", 0), "nan"), "x0"),
+    "bad numeric string": (_set(("problem", "xupper", 0), "infinity"), "xupper"),
 }
 
 
