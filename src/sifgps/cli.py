@@ -32,11 +32,18 @@ def _parse_param(text: str):
     return (name.strip(), value)
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _finite(vector: np.ndarray, label: str) -> np.ndarray:
+    if not np.isfinite(vector).all():
+        raise SifError(f"{label} has a non-finite entry")
+    return vector
+
+
+def _parse_vector(text: str, label: str) -> np.ndarray:
     try:
-        return np.array([float(part) for part in text.split(",") if part.strip()])
+        vector = np.array([float(part) for part in text.split(",") if part.strip()])
     except ValueError as exc:
         raise SifError(f"bad vector {text!r}: {exc}") from None
+    return _finite(vector, label)
 
 
 def _parse_indices(text: str) -> np.ndarray:
@@ -48,8 +55,11 @@ def _parse_indices(text: str) -> np.ndarray:
 
 
 def _read_vector_file(path: str) -> np.ndarray:
-    lines = Path(path).read_text().split()
-    return np.array([float(part) for part in lines])
+    try:
+        vector = np.array([float(part) for part in Path(path).read_text().split()])
+    except ValueError as exc:
+        raise SifError(f"bad vector file {path!r}: {exc}") from None
+    return _finite(vector, "--x-file")
 
 
 def _options_from_args(args) -> DecodeOptions:
@@ -158,14 +168,14 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _json_value(value):
-    if sparse.issparse(value):
-        return _matrix_json(value)
+def _json_value(value, label: str):
+    """value as JSON data; a non-finite entry is an error naming the result."""
     if isinstance(value, list):
-        return [_json_value(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return value
+        return [_json_value(item, label) for item in value]
+    data = value.data if sparse.issparse(value) else np.asarray(value)
+    if not np.isfinite(data).all():
+        raise SifError(f"result {label} is not finite")
+    return _matrix_json(value) if sparse.issparse(value) else data.tolist()
 
 
 def cmd_eval(args) -> int:
@@ -176,13 +186,13 @@ def cmd_eval(args) -> int:
         raise UnknownAction(f"unknown action {name!r}")
 
     if args.x is not None:
-        x = _parse_vector(args.x)
+        x = _parse_vector(args.x, "--x")
     elif args.x_file is not None:
         x = _read_vector_file(args.x_file)
     else:
         raise SifError(f"action {name!r} needs a point: pass --x or --x-file")
-    y = _parse_vector(args.y) if args.y is not None else None
-    v = _parse_vector(args.v) if args.v is not None else None
+    y = _parse_vector(args.y, "--y") if args.y is not None else None
+    v = _parse_vector(args.v, "--v") if args.v is not None else None
     subset = _parse_indices(args.i) if args.i is not None else None
     if "y" in action.needs and y is None:
         raise SifError(f"action {name!r} needs multipliers: pass --y")
@@ -192,7 +202,8 @@ def cmd_eval(args) -> int:
         raise SifError(f"action {name!r} needs a constraint subset: pass --i")
 
     outputs = action(Evaluator(problem, internals), x, y, v, subset)
-    _print_json({key: _json_value(value) for key, value in outputs.items()})
+    _print_json({key: _json_value(value, f"{key!r} of {name!r}")
+                 for key, value in outputs.items()})
     return 0
 
 

@@ -7,6 +7,12 @@ scale).  With group weights lambda (1 for the objective, y for constraints)
 and mu_e = sum_i lambda_i d1_i w_ie: gradient H x + G^T (lambda d1), Hessian
 H + G^T diag(lambda d2) G + sum_e mu_e P_e^T H_e P_e, Jacobian diag(d1) G.
 Products apply these matrices without forming them.
+
+A call runs each element type's program once over an array of its
+instances, and each group type's once over its groups, in arithmetic that
+rounds exactly as the per-instance interpreter does.  A domain condition,
+or a group type without a needed derivative slot, reruns the call through
+that per-instance walk, which raises the error with its attribution.
 """
 
 from __future__ import annotations
@@ -23,8 +29,17 @@ from .errors import (
     DomainError,
     MultiplierLengthMismatch,
     NoConstraints,
+    SifError,
 )
-from .expressions import eval_element, eval_group_function, trivial_group
+from .expressions import (
+    TRIVIAL_GROUP_NAME,
+    ElementDescriptor,
+    GroupDescriptor,
+    eval_element,
+    eval_elements,
+    eval_group_function,
+    trivial_group,
+)
 from .model import DecodedProblem, ProblemInternals, build_csr
 
 
@@ -35,16 +50,48 @@ class EvalResult:
     hessian: sparse.csr_matrix | list[sparse.csr_matrix] | None = None
 
 
+@dataclass(frozen=True)
+class _ElementBatch:
+    """The walked instances of one element type."""
+
+    descriptor: ElementDescriptor
+    elements: np.ndarray           # (k,) element indices
+    params: dict[str, np.ndarray]  # parameter -> (k,) values
+    g_at: np.ndarray               # (k, s) their slots in elvar.flat
+
+
+@dataclass(frozen=True)
+class _GroupBatch:
+    """The walked groups of one group type."""
+
+    descriptor: GroupDescriptor
+    positions: np.ndarray          # (k,) positions in walk order
+    params: dict[str, np.ndarray]  # parameter -> (k,) values
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Index arrays of one group set; read-only, so calls may share it."""
+
+    groups: np.ndarray             # walk order
+    ranks: tuple                   # per use rank: (positions, elements, weights)
+    elements: tuple[_ElementBatch, ...]
+    group_batches: tuple[_GroupBatch, ...]
+    g_take: np.ndarray             # G's data for these rows, in walk order,
+    g_indices: np.ndarray          # with their column indices
+    g_indptr: np.ndarray
+
+
 @dataclass
 class _Walk:
     """One call's groups and weights, their values and derivatives, and G."""
 
     groups: np.ndarray
     lam: np.ndarray
-    value: list[float]
-    d1: np.ndarray                 # NaN when the walk's order is below 1
-    d2: np.ndarray                 # NaN when the walk's order is below 2
-    elements: dict[int, tuple]     # element -> (value, gradient, Hessian)
+    value: np.ndarray              # F_i / sigma_i in walk order
+    d1: np.ndarray | None          # None when the walk's order is below 1
+    d2: np.ndarray | None          # None when the walk's order is below 2
+    hessians: np.ndarray | None    # element Hessians, flat at Evaluator._h_start
     G: sparse.csr_matrix | None    # the rows of G(x), in walk order
 
 
@@ -63,6 +110,53 @@ def _square(ptr: np.ndarray, rows: np.ndarray):
     return owner, start[owner] + flat // size, start[owner] + flat % size
 
 
+def _codes(names: tuple[str, ...], types: dict) -> tuple[list, np.ndarray]:
+    """The descriptors named, and each name's index into them."""
+    present = sorted(set(names))
+    index = {name: code for code, name in enumerate(present)}
+    return ([types[name] for name in present],
+            np.fromiter(map(index.__getitem__, names), np.int64, len(names)))
+
+
+def _runs(keys: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of equal entries in sorted keys."""
+    cuts = (np.flatnonzero(np.diff(keys)) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, keys.size])) if keys.size else []
+
+
+def _by_code(codes: np.ndarray, items: np.ndarray):
+    """(code, its items in their order) for each code present."""
+    order = np.argsort(codes, kind="stable")
+    codes, items = codes[order], items[order]
+    return [(int(codes[start]), items[start:stop]) for start, stop in _runs(codes)]
+
+
+def _columns(table, rows: np.ndarray, width: int) -> np.ndarray:
+    """The (len(rows), width) slots in table.flat of rows of one width."""
+    return table.ptr[rows][:, None] + np.arange(width)
+
+
+def _g_pattern(internals: ProblemInternals, n: int):
+    """G's fixed pattern and how one call's raw entries fill it.
+
+    G's raw entries are A's, then each element use's variables; entries on
+    one (row, column) sum into one slot of the pattern.  Returns the
+    pattern's column indices and row pointers, each raw entry's slot, A's
+    values, and each use entry's weight and slot in elvar.flat.
+    """
+    grelt, elvar = internals.grelt, internals.elvar
+    a = internals.A.tocoo()
+    uses = np.diff(grelt.ptr)
+    owner, entries = _expand(elvar.ptr[grelt.flat], np.diff(elvar.ptr)[grelt.flat])
+    rows = np.concatenate([a.row, np.repeat(np.arange(uses.size), uses)[owner]])
+    cols = np.concatenate([a.col, elvar.flat[entries]])
+    keys, slot = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
+    g_rows, g_cols = np.divmod(keys, max(n, 1))
+    g_ptr = np.concatenate([[0], np.cumsum(
+        np.bincount(g_rows, minlength=internals.n_groups))])
+    return g_cols, g_ptr, slot.ravel(), a.data, internals.grelw.flat[owner], entries
+
+
 class Evaluator:
     """Read-only evaluation over an immutable (problem, internals) pair.
 
@@ -76,41 +170,63 @@ class Evaluator:
         self.m = problem.m
         self._ef_env = dict(zip(internals.efpar_names, internals.efpar))
         self._gf_env = dict(zip(internals.gfpar_names, internals.gfpar))
-        # per element: (descriptor, parameter dict, variable indices)
-        self._elements = []
-        for name, values, cols in zip(internals.elftype, internals.elpar, internals.elvar):
-            descriptor = internals.element_types[name]
-            params = dict(zip(descriptor.parameters, values))
-            self._elements.append((descriptor, params, cols))
-        trivial = trivial_group()
-        self._groups = []
-        for name, values in zip(internals.grftype, internals.grpar):
-            descriptor = internals.group_types.get(name, trivial)
-            self._groups.append((descriptor, dict(zip(descriptor.parameters, values))))
+        self._group_types = {TRIVIAL_GROUP_NAME: trivial_group(), **internals.group_types}
+        # each instance's type as a code into a list of descriptors
+        self._element_descs, self._elcode = _codes(internals.elftype,
+                                                   internals.element_types)
+        self._group_descs, self._grcode = _codes(internals.grftype, self._group_types)
 
-        # element uses per group and variables per element
-        grelt, elvar = internals.grelt, internals.elvar
-        uses, size = np.diff(grelt.ptr), np.diff(elvar.ptr)
-
-        # G's raw entries are A's, then each use's variables; entries on one
-        # (row, column) sum into one slot of G's fixed pattern
-        a = internals.A.tocoo()
-        use_size = size[grelt.flat]
-        owner, entries = _expand(elvar.ptr[grelt.flat], use_size)
-        rows = np.concatenate([a.row, np.repeat(np.arange(uses.size), uses)[owner]])
-        cols = np.concatenate([a.col, elvar.flat[entries]])
-        keys, slot = np.unique(rows.astype(np.int64) * self.n + cols,
-                               return_inverse=True)
-        g_rows, self._g_cols = np.divmod(keys, max(self.n, 1))
-        self._g_ptr = np.concatenate([[0], np.cumsum(
-            np.bincount(g_rows, minlength=internals.n_groups))])
-        self._slot, self._a_data = slot.ravel(), a.data
+        size = np.diff(internals.elvar.ptr)
+        self._h_start = np.concatenate([[0], np.cumsum(size * size)])
+        (self._g_cols, self._g_ptr, self._slot, self._a_data,
+         self._entry_w, self._entry_src) = _g_pattern(internals, self.n)
         self._quad = sparse.tril(internals.H).tocoo()
-        # Python scalars for the walk, which reads them one at a time
-        self._scalars = (grelt.ptr.tolist(), grelt.flat.tolist(),
-                         internals.grelw.flat.tolist(),
-                         (a.nnz + np.cumsum(use_size) - use_size).tolist(),
-                         internals.gconst.tolist(), internals.gscale.tolist())
+
+        objective, constraints = internals.objgrps, internals.congrps
+        self._plans = {"objective": self._plan(objective),
+                       "constraints": self._plan(constraints)}
+        self._plans["lagrangian"] = (self._plan(np.concatenate([objective, constraints]))
+                                     if constraints.size else self._plans["objective"])
+
+    def _plan(self, groups: np.ndarray) -> _Plan:
+        """Index arrays for walking these groups in this order."""
+        it = self.internals
+        grelt, elvar = it.grelt, it.elvar
+        counts = np.diff(grelt.ptr)[groups]
+        owner, uses = _expand(grelt.ptr[groups], counts)
+        elems, weights = grelt.flat[uses], it.grelw.flat[uses]
+        # a group adds its element terms in use order: rank r is every
+        # group's r-th use
+        rank = np.arange(uses.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        by_rank = np.argsort(rank, kind="stable")
+        columns = [column[by_rank] for column in (owner, elems, weights)]
+        ranks = tuple(tuple(column[start:stop] for column in columns)
+                      for start, stop in _runs(rank[by_rank]))
+
+        element_batches = []
+        used = np.unique(elems)
+        for code, members in _by_code(self._elcode[used], used):
+            desc = self._element_descs[code]
+            params = it.elpar.flat[_columns(it.elpar, members, len(desc.parameters))]
+            element_batches.append(_ElementBatch(
+                desc, members, dict(zip(desc.parameters, params.T)),
+                _columns(elvar, members, len(desc.elemental))))
+        group_batches = []
+        for code, positions in _by_code(self._grcode[groups], np.arange(groups.size)):
+            desc = self._group_descs[code]
+            params = it.grpar.flat[_columns(it.grpar, groups[positions],
+                                            len(desc.parameters))]
+            group_batches.append(_GroupBatch(desc, positions,
+                                             dict(zip(desc.parameters, params.T))))
+
+        return _Plan(groups, ranks, tuple(element_batches), tuple(group_batches),
+                     *self._rows_of_g(groups))
+
+    def _rows_of_g(self, groups: np.ndarray):
+        """(data selection, indices, indptr) of G's rows in walk order."""
+        counts = np.diff(self._g_ptr)[groups]
+        _, take = _expand(self._g_ptr[groups], counts)
+        return take, self._g_cols[take], np.concatenate([[0], np.cumsum(counts)])
 
     # -- argument checking --
 
@@ -122,8 +238,6 @@ class Evaluator:
         return arr
 
     def _subset(self, subset) -> np.ndarray:
-        if subset is None:
-            return np.arange(self.m, dtype=np.int64)
         arr = np.asarray(subset, dtype=np.int64)
         if arr.ndim != 1:
             raise BadSubset("constraint subset must be one-dimensional")
@@ -137,85 +251,145 @@ class Evaluator:
         if self.m == 0:
             raise NoConstraints("the problem has no general constraints")
 
-    def _multipliers(self, y, subset) -> tuple[np.ndarray, np.ndarray]:
-        """The checked constraint subset and its multipliers."""
-        selected = self._subset(subset)
+    def _constraint_plan(self, subset, objective: bool = False) -> _Plan:
+        """The constraint groups, all or a checked subset, after the objective's if asked."""
+        if subset is None:
+            return self._plans["lagrangian" if objective else "constraints"]
+        groups = self.internals.congrps[self._subset(subset)]
+        if objective:
+            groups = np.concatenate([self.internals.objgrps, groups])
+        return self._plan(groups)
+
+    def _lagrangian_weights(self, y, plan: _Plan) -> np.ndarray:
+        """1 on the objective's groups, then the checked multipliers."""
+        nob = self.internals.objgrps.size
         if y is None:
             raise MultiplierLengthMismatch("the Lagrangian needs multipliers y")
         y = np.asarray(y, dtype=float)
-        if y.shape != selected.shape:
+        if y.shape != (plan.groups.size - nob,):
             raise MultiplierLengthMismatch(
-                f"y must have length {selected.size}, got shape {y.shape}")
-        return selected, y
+                f"y must have length {plan.groups.size - nob}, got shape {y.shape}")
+        return np.concatenate([np.ones(nob), y])
 
     # -- the walk over groups --
 
-    def _walk(self, x: np.ndarray, order: int, groups: np.ndarray, lam) -> _Walk:
-        """Evaluate the groups in order, each element once, and refill G."""
-        use_ptr, use_elem, use_w, use_start, gconst, gscale = self._scalars
-        ax = (self.internals.A @ x).tolist()
-        raw = None if order < 1 else np.concatenate(
-            [self._a_data, np.zeros(self._slot.size - self._a_data.size)])
-        elements: dict[int, tuple] = {}
-        values, firsts, seconds = [], [], []
-        for gi in groups.tolist():
+    def _walk(self, x: np.ndarray, order: int, plan: _Plan, lam: np.ndarray) -> _Walk:
+        """Evaluate the plan's groups, each element once, and refill G."""
+        try:
+            with np.errstate(all="ignore"):
+                values, d1, d2, gradients, hessians = self._fill(x, order, plan)
+        except SifError:
+            # the per-instance walk raises the same error with its attribution
+            values, d1, d2, gradients, hessians = self._scalar_fill(x, order, plan)
+        G = None
+        if order >= 1:
+            # entries of elements the walk skipped land only in rows it drops
+            raw = np.concatenate([self._a_data, self._entry_w * gradients[self._entry_src]])
+            data = np.bincount(self._slot, raw, minlength=self._g_cols.size)
+            G = sparse.csr_matrix((data[plan.g_take], plan.g_indices, plan.g_indptr),
+                                  shape=(plan.groups.size, self.n))
+        return _Walk(plan.groups, lam, values, d1, d2, hessians, G)
+
+    def _stores(self, order: int):
+        """Flat element value, gradient (at elvar's slots) and Hessian stores."""
+        return (np.empty(len(self.internals.elftype)),
+                np.zeros(self.internals.elvar.flat.size) if order >= 1 else None,
+                np.empty(self._h_start[-1]) if order >= 2 else None)
+
+    def _fill(self, x: np.ndarray, order: int, plan: _Plan):
+        """Each type's program once over its instances: F/sigma, d1, d2 and the stores."""
+        f, gradients, hessians = self._stores(order)
+        it = self.internals
+        for batch in plan.elements:
+            value, gradient, hessian = eval_elements(
+                batch.descriptor, x[it.elvar.flat[batch.g_at]], batch.params,
+                self._ef_env, order)
+            f[batch.elements] = value
+            if order >= 1:
+                gradients[batch.g_at] = gradient
+            if order >= 2:
+                k, s = batch.g_at.shape
+                hessians[self._h_start[batch.elements][:, None] + np.arange(s * s)] = \
+                    hessian.reshape(k, s * s)
+        a = (it.A @ x)[plan.groups]
+        a -= it.gconst[plan.groups]
+        for positions, elems, weights in plan.ranks:
+            a[positions] += weights * f[elems]
+        inv_scale = 1.0 / it.gscale[plan.groups]
+        out = [np.empty(a.size) for _ in range(order + 1)]
+        for batch in plan.group_batches:
+            inv = inv_scale[batch.positions]
+            results = eval_group_function(batch.descriptor, a[batch.positions],
+                                          batch.params, self._gf_env, order,
+                                          strict_derivatives=True)
+            for column, result in zip(out, results):
+                column[batch.positions] = result * inv
+        out += [None] * (2 - order)
+        return (*out, gradients, hessians)
+
+    def _scalar_fill(self, x: np.ndarray, order: int, plan: _Plan):
+        """_fill one instance at a time through the interpreter, in walk order.
+
+        The error path: it raises the first domain error of the walk, naming
+        its element or group.  Tests use it as the batched fill's oracle.
+        """
+        it = self.internals
+        use_ptr, use_elem, use_w = (it.grelt.ptr.tolist(), it.grelt.flat.tolist(),
+                                    it.grelw.flat.tolist())
+        gconst, gscale = it.gconst.tolist(), it.gscale.tolist()
+        ax = (it.A @ x).tolist()
+        f, gradients, hessians = self._stores(order)
+        done = set()
+        out = [[], [], []]
+        for gi in plan.groups.tolist():
             a = ax[gi] - gconst[gi]
             for u in range(use_ptr[gi], use_ptr[gi + 1]):
                 e, w = use_elem[u], use_w[u]
-                result = elements.get(e)
-                if result is None:
-                    desc, params, cols = self._elements[e]
+                if e not in done:
+                    desc = it.element_types[it.elftype[e]]
+                    params = dict(zip(desc.parameters, it.elpar[e]))
                     try:
-                        result = eval_element(desc, x[cols], params, self._ef_env, order)
+                        value, gradient, hessian = eval_element(
+                            desc, x[it.elvar[e]], params, self._ef_env, order)
                     except DomainError as err:
                         raise DomainError(err.message, element_index=e) from err
-                    elements[e] = result
-                a += w * result[0]
-                if raw is not None:
-                    raw[use_start[u]:use_start[u] + result[1].size] = w * result[1]
-            desc, params = self._groups[gi]
+                    f[e] = value
+                    if order >= 1:
+                        gradients[it.elvar.ptr[e]:it.elvar.ptr[e + 1]] = gradient
+                    if order >= 2:
+                        hessians[self._h_start[e]:self._h_start[e + 1]] = hessian.ravel()
+                    done.add(e)
+                a += w * f[e]
+            desc = self._group_types[it.grftype[gi]]
             try:
-                value, d1, d2 = eval_group_function(desc, a, params, self._gf_env,
-                                                    order, strict_derivatives=True)
+                results = eval_group_function(desc, a, dict(zip(desc.parameters, it.grpar[gi])),
+                                              self._gf_env, order, strict_derivatives=True)
             except DomainError as err:
                 raise DomainError(err.message, group_index=gi) from err
             inv = 1.0 / gscale[gi]
-            values.append(value * inv)
-            firsts.append(d1 * inv if order >= 1 else None)
-            seconds.append(d2 * inv if order >= 2 else None)
-        G = None
-        if raw is not None:
-            data = np.bincount(self._slot, raw, minlength=self._g_cols.size)
-            G = sparse.csr_matrix((data, self._g_cols, self._g_ptr),
-                                  shape=(self.internals.n_groups, self.n))[groups]
-        return _Walk(groups, lam, values, np.array(firsts, dtype=float),
-                     np.array(seconds, dtype=float), elements, G)
-
-    def _objective_walk(self, x, order: int, selected=None, y=None) -> _Walk:
-        """The objective's groups with weight 1, then selected constraints with y."""
-        groups, lam = self.internals.objgrps, np.ones(self.internals.objgrps.size)
-        if selected is not None:
-            groups = np.concatenate([groups, self.internals.congrps[selected]])
-            lam = np.concatenate([lam, y])
-        return self._walk(x, order, groups, lam)
+            for column, result in zip(out, results[:order + 1]):
+                column.append(result * inv)
+        values = [np.array(column, dtype=float) for column in out[:order + 1]]
+        values += [None] * (2 - order)
+        return (*values, gradients, hessians)
 
     # -- weighted sums over a walk --
 
     def _function(self, walk: _Walk, x, order: int) -> EvalResult:
         """Objective value, weighted gradient and weighted Hessian of a walk."""
         hx = self.internals.H @ x
-        value = 0.5 * float(np.dot(x, hx))
-        for f in walk.value[:self.internals.objgrps.size]:
-            value += f
+        # a sequential sum, one objective group at a time
+        value = np.cumsum(np.concatenate([[0.5 * float(np.dot(x, hx))],
+                                          walk.value[:self.internals.objgrps.size]]))[-1]
         return EvalResult(
-            value=value,
+            value=float(value),
             gradient=hx + walk.G.T @ (walk.lam * walk.d1) if order >= 1 else None,
             hessian=self._hessian(walk, True) if order >= 2 else None)
 
     def _element_terms(self, walk: _Walk, c1, split: bool):
         """(block, row, col, value) of mu_e P_e^T H_e P_e; c1 is lambda d1."""
         positions = np.flatnonzero(c1 != 0.0)
-        groups, n_el = walk.groups[positions], max(len(self._elements), 1)
+        groups, n_el = walk.groups[positions], max(len(self.internals.elftype), 1)
         grelt, elvar = self.internals.grelt, self.internals.elvar
         owner, uses = _expand(grelt.ptr[groups], grelt.ptr[groups + 1] - grelt.ptr[groups])
         key = grelt.flat[uses] + (positions[owner] * n_el if split else 0)
@@ -224,9 +398,10 @@ class Evaluator:
                          c1[positions][owner] * self.internals.grelw.flat[uses])
         block, elems = np.divmod(keys, n_el)
         owner, p, q = _square(elvar.ptr, elems)
-        hessians = np.concatenate(
-            [np.zeros(0), *(walk.elements[e][2].ravel() for e in elems.tolist())])
-        return block[owner], elvar.flat[p], elvar.flat[q], mu[owner] * hessians
+        _, at = _expand(self._h_start[elems], self._h_start[elems + 1] - self._h_start[elems])
+        values = walk.hessians[at]
+        values *= mu[owner]
+        return block[owner], elvar.flat[p], elvar.flat[q], values
 
     def _hessian(self, walk: _Walk, quad: bool, split: bool = False):
         """Mirrored lower triangle of the weighted Hessian, or with split, one per group."""
@@ -257,20 +432,22 @@ class Evaluator:
 
     def evaluate_objective(self, x, order: int = 0) -> EvalResult:
         x = self._vector(x, self.n, "x")
-        return self._function(self._objective_walk(x, order), x, order)
+        plan = self._plans["objective"]
+        return self._function(self._walk(x, order, plan, np.ones(plan.groups.size)),
+                              x, order)
 
     # -- constraints --
 
     def evaluate_constraints(self, x, order: int = 0, subset=None) -> EvalResult:
         self._need_constraints()
         x = self._vector(x, self.n, "x")
-        congrps = self.internals.congrps[self._subset(subset)]
-        walk = self._walk(x, order, congrps, np.ones(congrps.size))
+        plan = self._constraint_plan(subset)
+        walk = self._walk(x, order, plan, np.ones(plan.groups.size))
         G = walk.G.tocoo() if order >= 1 else None
         return EvalResult(
-            value=np.array(walk.value, dtype=float),
+            value=walk.value,
             gradient=(build_csr(G.row, G.col, walk.d1[G.row] * G.data,
-                                (congrps.size, self.n)) if order >= 1 else None),
+                                (plan.groups.size, self.n)) if order >= 1 else None),
             hessian=self._hessian(walk, False, split=True) if order >= 2 else None)
 
     # -- Lagrangian --
@@ -278,7 +455,8 @@ class Evaluator:
     def evaluate_lagrangian(self, x, y, order: int = 0, subset=None) -> EvalResult:
         self._need_constraints()
         x = self._vector(x, self.n, "x")
-        walk = self._objective_walk(x, order, *self._multipliers(y, subset))
+        plan = self._constraint_plan(subset, objective=True)
+        walk = self._walk(x, order, plan, self._lagrangian_weights(y, plan))
         result = self._function(walk, x, order)
         nob = self.internals.objgrps.size
         result.value += float(np.dot(walk.lam[nob:], walk.value[nob:]))
@@ -290,11 +468,14 @@ class Evaluator:
                                y=None, subset=None) -> np.ndarray:
         x = self._vector(x, self.n, "x")
         v = self._vector(v, self.n, "v")
-        selected = None
         if kind == "lagrangian":
             self._need_constraints()
-            selected, y = self._multipliers(y, subset)
-        walk = self._objective_walk(x, 2, selected, y)
+            plan = self._constraint_plan(subset, objective=True)
+            lam = self._lagrangian_weights(y, plan)
+        else:
+            plan = self._plans["objective"]
+            lam = np.ones(plan.groups.size)
+        walk = self._walk(x, 2, plan, lam)
         out = self.internals.H @ v + walk.G.T @ (walk.lam * walk.d2 * (walk.G @ v))
         _, rows, cols, vals = self._element_terms(walk, walk.lam * walk.d1, False)
         return out + np.bincount(rows, vals * v[cols], minlength=self.n)
@@ -303,8 +484,8 @@ class Evaluator:
         self._need_constraints()
         x = self._vector(x, self.n, "x")
         v = self._vector(v, self.n, "v")
-        congrps = self.internals.congrps[self._subset(subset)]
-        walk = self._walk(x, 1, congrps, np.ones(congrps.size))
+        plan = self._constraint_plan(subset)
+        walk = self._walk(x, 1, plan, np.ones(plan.groups.size))
         return walk.d1 * (walk.G @ v)
 
 

@@ -2,8 +2,9 @@
 
 The nonlinear parts of a SIF file assign Fortran expressions to function
 values and to their first and second derivatives.  Those expressions are
-parsed into small trees and evaluated directly; derivatives always come from
-the file, never from numeric differentiation.
+parsed into small trees and evaluated directly, over scalars or over arrays
+of instances of one type; derivatives always come from the file, never from
+numeric differentiation.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import (
     DomainError,
     ExpressionSyntaxError,
+    MissingDerivative,
     MissingValueExpression,
     UndeclaredName,
     UndefinedElementType,
@@ -192,17 +194,35 @@ def parse_expression(text: str, line_number: int | None = None) -> Node:
     return _Parser(text, line_number).parse()
 
 
-def _power(base: float, exponent: float) -> float:
-    if float(exponent).is_integer() and abs(exponent) <= 64:
+# Every operation takes scalars or numpy arrays of instances of one type, and
+# over arrays it rounds exactly as over scalars: + - * / and ABS and SQRT are
+# correctly rounded ufuncs, integer powers are repeated multiplication, and
+# every other intrinsic and non-integer power runs math once per entry (numpy's
+# transcendentals round differently).  Over arrays a domain error names no
+# entry; callers rerun the scalars to locate it.
+
+
+def _entrywise(func, *args):
+    """func over broadcast array arguments, one call per entry."""
+    columns = [arg.tolist() for arg in np.broadcast_arrays(*args)]
+    return np.array([func(*entry) for entry in zip(*columns)], dtype=float)
+
+
+def _power(base, exponent):
+    arrays = isinstance(base, np.ndarray) or isinstance(exponent, np.ndarray)
+    if (not isinstance(exponent, np.ndarray) and float(exponent).is_integer()
+            and abs(exponent) <= 64):
         count = int(exponent)
         out = 1.0
         for _ in range(abs(count)):
-            out *= base
+            out = out * base
         if count < 0:
-            if out == 0.0:
+            if np.any(out == 0.0):
                 raise DomainError("zero raised to a negative power")
             return 1.0 / out
         return out
+    if arrays:
+        return _entrywise(_power, base, exponent)
     if base <= 0.0:
         raise DomainError(f"{base!r} ** {exponent!r} with non-integer exponent")
     try:
@@ -211,7 +231,26 @@ def _power(base: float, exponent: float) -> float:
         raise DomainError(f"overflow in {base!r} ** {exponent!r}") from exc
 
 
-def _call(name: str, args: tuple[float, ...]) -> float:
+def _divide(left, right):
+    if np.any(right == 0.0):
+        raise DomainError("division by zero")
+    return left / right
+
+
+def _call(name: str, args: tuple):
+    if not any(isinstance(arg, np.ndarray) for arg in args):
+        return _math(name, args)
+    if name == "ABS":
+        return np.abs(args[0])
+    if name == "SQRT":
+        if np.any(args[0] < 0.0):
+            raise DomainError("SQRT of a negative value")
+        return np.sqrt(args[0])
+    return _entrywise(lambda *entry: _math(name, entry), *args)
+
+
+def _math(name: str, args: tuple[float, ...]) -> float:
+    """An intrinsic over scalars, through math."""
     try:
         if name == "ABS":
             return abs(args[0])
@@ -258,7 +297,8 @@ def _call(name: str, args: tuple[float, ...]) -> float:
     raise UnknownIntrinsic(f"unknown intrinsic {name!r}")
 
 
-def eval_node(node: Node, env: dict[str, float]) -> float:
+def eval_node(node: Node, env: dict):
+    """Evaluate a tree over scalars, or over arrays of instances."""
     tag = node[0]
     if tag == "num":
         return node[1]
@@ -280,9 +320,7 @@ def eval_node(node: Node, env: dict[str, float]) -> float:
         if op == "*":
             return left * right
         if op == "/":
-            if right == 0.0:
-                raise DomainError("division by zero")
-            return left / right
+            return _divide(left, right)
         return _power(left, right)
     return _call(node[1], tuple(eval_node(a, env) for a in node[2]))
 
@@ -337,12 +375,14 @@ class ExpressionProgram:
             if unknown:
                 raise UndeclaredName(f"undeclared name(s) {sorted(unknown)}")
 
-    def run(self, var_values: dict[str, float], param_values: dict[str, float],
-            global_env: dict[str, float], order: int):
+    def run(self, var_values: dict, param_values: dict, global_env: dict[str, float],
+            order: int):
         """Evaluate value and, as requested, first/second derivative slots.
 
         Missing derivative slots evaluate to zero; callers decide whether an
-        absent slot is structural or an error.
+        absent slot is structural or an error.  The variables and
+        parameters may be arrays over instances, and then so is each slot
+        that depends on them.
         """
         env = dict(global_env)
         env.update(param_values)
@@ -352,13 +392,13 @@ class ExpressionProgram:
         value = eval_node(self.value, env)
         if order < 1:
             return value, None, None
-        grad: dict[str, float] = {}
+        grad: dict = {}
         for name in self.variables:
             node = self.first.get(name)
             grad[name] = eval_node(node, env) if node is not None else 0.0
         if order < 2:
             return value, grad, None
-        hess: dict[tuple[str, str], float] = {}
+        hess: dict = {}
         for i, a in enumerate(self.variables):
             for b in self.variables[i:]:
                 node = self.second.get((a, b))
@@ -440,6 +480,46 @@ def eval_element(desc: ElementDescriptor, x_e, params: dict[str, float],
     return value, gradient, hessian
 
 
+def eval_elements(desc: ElementDescriptor, x_e: np.ndarray, params: dict,
+                  global_env: dict[str, float], order: int):
+    """eval_element over k instances of one type at once, over arrays.
+
+    ``x_e`` is (k, elemental) and each parameter a (k,) array.  Returns
+    values (k,), possibly a read-only broadcast, gradients (k, elemental) and
+    Hessians (k, elemental, elemental).  The range products are stacked
+    matmuls with eval_element's per-instance shapes, which round as its
+    single products do; other stackings (``x_e @ R.T``, einsum) can differ in
+    the last bit.
+    """
+    k = x_e.shape[0]
+    if desc.internal:
+        u = np.matmul(desc.range_matrix[None], x_e[:, :, None])[:, :, 0]
+        names = desc.internal
+    else:
+        u = x_e
+        names = desc.elemental
+    value, grad_map, hess_map = desc.program.run(
+        dict(zip(names, u.T)), params, global_env, order)
+    values = np.broadcast_to(value, (k,))
+    if order < 1:
+        return values, None, None
+    size = len(names)
+    g_u = np.empty((k, size))
+    for j, name in enumerate(names):
+        g_u[:, j] = grad_map[name]
+    gradient = (np.matmul(desc.range_matrix.T[None], g_u[:, :, None])[:, :, 0]
+                if desc.internal else g_u)
+    if order < 2:
+        return values, gradient, None
+    h_u = np.empty((k, size, size))
+    for i, a in enumerate(names):
+        for j in range(i, size):
+            h_u[:, i, j] = h_u[:, j, i] = hess_map[(a, names[j])]
+    hessian = (np.matmul(np.matmul(desc.range_matrix.T[None], h_u),
+                         desc.range_matrix[None]) if desc.internal else h_u)
+    return values, gradient, hessian
+
+
 def eval_group_function(desc: GroupDescriptor, alpha: float,
                         params: dict[str, float], global_env: dict[str, float],
                         order: int, *, strict_derivatives: bool = False):
@@ -447,9 +527,8 @@ def eval_group_function(desc: GroupDescriptor, alpha: float,
 
     With ``strict_derivatives`` a missing derivative slot raises instead of
     evaluating to zero: a univariate function has no structurally-zero slot.
+    alpha and the parameters may be arrays over groups.
     """
-    from .errors import MissingDerivative
-
     arg = desc.argument
     if strict_derivatives:
         if order >= 1 and arg not in desc.program.first:
@@ -677,7 +756,7 @@ def apply_intrinsic(name: str, *args: float) -> float:
     low, high = _INTRINSICS[canonical]
     if len(args) < low or (high is not None and len(args) > high):
         raise ExpressionSyntaxError(f"{canonical} called with {len(args)} arguments")
-    return _call(canonical, args)
+    return _math(canonical, args)
 
 
 # --- JSON round-trip of expression trees ---------------------------------------

@@ -343,4 +343,9 @@ def dump_text(problem: DecodedProblem, internals: ProblemInternals,
 
 
 def load_text(text: str) -> tuple[DecodedProblem, ProblemInternals, dict]:
-    return load_problem(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(f"not valid JSON: {exc.msg} (column {exc.colno})",
+                              line_number=exc.lineno) from None
+    return load_problem(data)

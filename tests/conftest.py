@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from sifgps import DecodeOptions, Evaluator, decode
 
 CORPUS = Path(__file__).parent / "corpus"
+PERFBENCH_PROBLEMS = Path(__file__).resolve().parent.parent / "perfbench" / "problems.py"
 
 # Every file that must decode cleanly; BADDATA is the seeded-error file.
 GOOD_CORPUS = [
@@ -28,6 +30,14 @@ def corpus_text(name: str) -> str:
 def decode_corpus(name: str, user_params=(), **option_kwargs):
     options = DecodeOptions(**option_kwargs) if option_kwargs else None
     return decode(corpus_text(name), user_params, options)
+
+
+def perfbench_problems():
+    """The benchmark's seeded SIF generators and closed-form numpy references."""
+    spec = importlib.util.spec_from_file_location("perfbench_problems", PERFBENCH_PROBLEMS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -150,6 +150,43 @@ def test_eval_x_file(tmp_path, capsys):
     assert json.loads(stdout) == {"f": 0.0}
 
 
+def one_error_line(capsys, *argv) -> str:
+    """Run argv, expecting exit 1, no output and exactly one error line."""
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1 and stdout == ""
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    return lines[0]
+
+
+def test_info_on_truncated_json(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format_version": 1,')
+    line = one_error_line(capsys, "info", str(bad))
+    assert line.startswith("MalformedRecord (line 1): not valid JSON")
+    assert "column 22" in line
+
+
+def test_eval_x_file_with_non_numeric_entry(tmp_path, capsys):
+    points = tmp_path / "x.txt"
+    points.write_text("1.0\nabc\n")
+    line = one_error_line(capsys, "eval", str(CORPUS / "ROSENBR.SIF"), "fx",
+                          "--x-file", str(points))
+    assert line.startswith("SifError: bad vector file") and "'abc'" in line
+
+
+def test_eval_rejects_non_finite_input(capsys):
+    line = one_error_line(capsys, "eval", str(CORPUS / "ROSENBR.SIF"), "fgx",
+                          "--x=nan,1")
+    assert line == "SifError: --x has a non-finite entry"
+
+
+def test_eval_names_a_non_finite_result(capsys):
+    line = one_error_line(capsys, "eval", str(CORPUS / "ROSENBR.SIF"), "fx",
+                          "--x=1e200,1e200")
+    assert line == "SifError: result 'f' of 'fx' is not finite"
+
+
 def test_info_summary(tmp_path, capsys):
     dump = decode_to(tmp_path, "CONSELM")
     code, stdout, _ = run(capsys, "info", str(dump))
