@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -14,7 +13,7 @@ from .checker import run_checks
 from .errors import ErrorLog, SifError, UnknownAction
 from .evaluator import ACTIONS, Evaluator
 from .expander import DecodeOptions, decode
-from .jsonio import dump_text, load_text
+from .jsonio import dump_text, dumps_canonical, load_text, matrix_out
 
 
 def _parse_param(text: str):
@@ -106,21 +105,6 @@ def _load_input(path: str, args) -> tuple:
     return problem, internals, provenance
 
 
-def _matrix_json(matrix: sparse.csr_matrix) -> dict:
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    return {
-        "rows": int(matrix.shape[0]),
-        "cols": int(matrix.shape[1]),
-        "entries": [[int(coo.row[k]), int(coo.col[k]), float(coo.data[k])]
-                    for k in order],
-    }
-
-
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -175,7 +159,7 @@ def _json_value(value, label: str):
     data = value.data if sparse.issparse(value) else np.asarray(value)
     if not np.isfinite(data).all():
         raise SifError(f"result {label} is not finite")
-    return _matrix_json(value) if sparse.issparse(value) else data.tolist()
+    return matrix_out(value) if sparse.issparse(value) else data.tolist()
 
 
 def cmd_eval(args) -> int:
@@ -202,8 +186,8 @@ def cmd_eval(args) -> int:
         raise SifError(f"action {name!r} needs a constraint subset: pass --i")
 
     outputs = action(Evaluator(problem, internals), x, y, v, subset)
-    _print_json({key: _json_value(value, f"{key!r} of {name!r}")
-                 for key, value in outputs.items()})
+    sys.stdout.write(dumps_canonical({key: _json_value(value, f"{key!r} of {name!r}")
+                                      for key, value in outputs.items()}))
     return 0
 
 

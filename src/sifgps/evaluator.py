@@ -223,10 +223,17 @@ class Evaluator:
                      *self._rows_of_g(groups))
 
     def _rows_of_g(self, groups: np.ndarray):
-        """(data selection, indices, indptr) of G's rows in walk order."""
+        """(data selection, indices, indptr) of G's rows in walk order.
+
+        The index arrays come in the dtype csr_matrix keeps for this shape,
+        so every call's G shares them instead of converting a copy.
+        """
         counts = np.diff(self._g_ptr)[groups]
         _, take = _expand(self._g_ptr[groups], counts)
-        return take, self._g_cols[take], np.concatenate([[0], np.cumsum(counts)])
+        rows = sparse.csr_matrix((np.empty(take.size), self._g_cols[take],
+                                  np.concatenate([[0], np.cumsum(counts)])),
+                                 shape=(groups.size, self.n))
+        return take, rows.indices, rows.indptr
 
     # -- argument checking --
 
@@ -275,12 +282,12 @@ class Evaluator:
 
     def _walk(self, x: np.ndarray, order: int, plan: _Plan, lam: np.ndarray) -> _Walk:
         """Evaluate the plan's groups, each element once, and refill G."""
-        try:
-            with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):
+            try:
                 values, d1, d2, gradients, hessians = self._fill(x, order, plan)
-        except SifError:
-            # the per-instance walk raises the same error with its attribution
-            values, d1, d2, gradients, hessians = self._scalar_fill(x, order, plan)
+            except SifError:
+                # the per-instance walk raises the same error with its attribution
+                values, d1, d2, gradients, hessians = self._scalar_fill(x, order, plan)
         G = None
         if order >= 1:
             # entries of elements the walk skipped land only in rows it drops

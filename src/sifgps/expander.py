@@ -7,9 +7,11 @@ evaluation structure.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -141,6 +143,12 @@ class ParameterEnvironment:
         raise UnboundParameter(f"integer parameter {name!r} is not bound",
                                line_number=line)
 
+    def lookup_string(self, name: str, line: int | None = None) -> str:
+        if name in self.string_params:
+            return self.string_params[name]
+        raise UnboundParameter(f"string parameter {name!r} is not bound",
+                               line_number=line)
+
     def lookup_real(self, name: str, line: int | None = None) -> float:
         if name in self.real_params:
             return self.real_params[name]
@@ -164,16 +172,6 @@ def rename_problem(sif_name: str) -> str:
 
 # --- parameter directives ------------------------------------------------------
 
-_INT_OPS = {"IE", "IA", "IS", "IM", "ID", "I=", "I+", "I-", "I*", "I/"}
-_REAL_OPS = {"RE", "RA", "RS", "RM", "RD", "R=", "R+", "R-", "R*", "R/", "RI", "RF"}
-_STRING_OPS = {"AE", "A="}
-
-
-def is_directive(indicator: str) -> bool:
-    code = indicator.upper()
-    return code in _INT_OPS or code in _REAL_OPS or code in _STRING_OPS
-
-
 def _int_literal(text: str, line: int | None) -> int:
     value = parse_fortran_real(text, line)
     if not value.is_integer():
@@ -190,104 +188,112 @@ def _int_div(a: int, b: int, line: int | None) -> int:
     return quotient if (a >= 0) == (b >= 0) else -quotient
 
 
+def _real_div(a: float, b: float, line: int | None) -> float:
+    if b == 0.0:
+        raise MalformedRecord("division by zero parameter", line_number=line)
+    return a / b
+
+
+def _unquote(text: str, line: int | None) -> str:
+    return text[1:-1] if len(text) >= 2 and text[0] == text[-1] == "'" else text
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How a directive's literals read, its parameters look up and bind, and
+    its quotients divide."""
+
+    literal: Callable
+    lookup: Callable
+    bind: Callable
+    divide: Callable | None = None
+
+
+_INT = _Kind(_int_literal, ParameterEnvironment.lookup_int,
+             ParameterEnvironment.bind_int, _int_div)
+_REAL = _Kind(parse_fortran_real, ParameterEnvironment.lookup_real,
+              ParameterEnvironment.bind_real, _real_div)
+_STRING = _Kind(_unquote, ParameterEnvironment.lookup_string,
+                ParameterEnvironment.bind_string)
+_INT_TO_REAL = _Kind(None, ParameterEnvironment.lookup_int,
+                     ParameterEnvironment.bind_real)
+
+
+# Operand forms: each reads a record's operands, in the order its arithmetic
+# takes them.  A parameter with a literal gives (literal, field 3), so that
+# "S" and "D" are literal - parameter and literal / parameter ("A" and "M"
+# commute exactly); field 3 is read first, so its errors come first.
+
+def _literal(kind, env, record, line):
+    return (kind.literal(record.value4, line),)
+
+
+def _with_literal(kind, env, record, line):
+    operand = kind.lookup(env, record.name3, line)
+    return kind.literal(record.value4, line), operand
+
+
+def _parameter(kind, env, record, line):
+    return (kind.lookup(env, record.name3, line),)
+
+
+def _parameters(kind, env, record, line):
+    return kind.lookup(env, record.name3, line), kind.lookup(env, record.name5, line)
+
+
+def _intrinsic(kind, env, record, line):
+    if record.value4:
+        operand = parse_fortran_real(record.value4, line)
+    elif record.name5:
+        operand = env.lookup_real(record.name5, line)
+    else:
+        raise MalformedRecord("RF directive without an operand", line_number=line)
+    return (apply_intrinsic(record.name3, operand, line_number=line),)
+
+
+def _quoted(kind, env, record, line):
+    return (kind.literal(record.name3 or record.value4, line),)
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+# code -> (parameter type, operand form, operator or None for the operand itself)
+_DIRECTIVES = {
+    **{prefix + suffix: (kind, form, op)
+       for prefix, kind in (("I", _INT), ("R", _REAL))
+       for suffix, form, op in (
+           ("E", _literal, None), ("=", _parameter, None),
+           ("A", _with_literal, "+"), ("S", _with_literal, "-"),
+           ("M", _with_literal, "*"), ("D", _with_literal, "/"),
+           ("+", _parameters, "+"), ("-", _parameters, "-"),
+           ("*", _parameters, "*"), ("/", _parameters, "/"))},
+    "RI": (_INT_TO_REAL, _parameter, None),
+    "RF": (_REAL, _intrinsic, None),
+    "AE": (_STRING, _quoted, None),
+    "A=": (_STRING, _parameter, None),
+}
+
+
+def is_directive(indicator: str) -> bool:
+    return indicator.upper() in _DIRECTIVES
+
+
 def eval_param_directive(env: ParameterEnvironment,
                          record: SourceRecord) -> ParameterEnvironment:
     """Apply one parameter-definition/arithmetic record to the environment."""
-    code = record.indicator.upper()
     line = record.line_number
-    target = record.name2
-    if not target:
+    if not record.name2:
         raise MalformedRecord("directive without a target parameter", line_number=line)
-
-    if code in _INT_OPS:
-        if code == "IE":
-            value = _int_literal(record.value4, line)
-        elif code in ("IA", "IS", "IM", "ID"):
-            operand = env.lookup_int(record.name3, line)
-            literal = _int_literal(record.value4, line)
-            if code == "IA":
-                value = operand + literal
-            elif code == "IS":
-                value = literal - operand
-            elif code == "IM":
-                value = operand * literal
-            else:
-                value = _int_div(literal, operand, line)
-        elif code == "I=":
-            value = env.lookup_int(record.name3, line)
-        else:
-            left = env.lookup_int(record.name3, line)
-            right = env.lookup_int(record.name5, line)
-            if code == "I+":
-                value = left + right
-            elif code == "I-":
-                value = left - right
-            elif code == "I*":
-                value = left * right
-            else:
-                value = _int_div(left, right, line)
-        env.bind_int(target, value)
-        return env
-
-    if code in _REAL_OPS:
-        if code == "RE":
-            value = parse_fortran_real(record.value4, line)
-        elif code in ("RA", "RS", "RM", "RD"):
-            operand = env.lookup_real(record.name3, line)
-            literal = parse_fortran_real(record.value4, line)
-            if code == "RA":
-                value = operand + literal
-            elif code == "RS":
-                value = literal - operand
-            elif code == "RM":
-                value = operand * literal
-            else:
-                if operand == 0.0:
-                    raise MalformedRecord("division by zero parameter", line_number=line)
-                value = literal / operand
-        elif code == "R=":
-            value = env.lookup_real(record.name3, line)
-        elif code == "RI":
-            value = float(env.lookup_int(record.name3, line))
-        elif code == "RF":
-            if record.value4:
-                operand = parse_fortran_real(record.value4, line)
-            elif record.name5:
-                operand = env.lookup_real(record.name5, line)
-            else:
-                raise MalformedRecord("RF directive without an operand", line_number=line)
-            value = apply_intrinsic(record.name3, operand)
-        else:
-            left = env.lookup_real(record.name3, line)
-            right = env.lookup_real(record.name5, line)
-            if code == "R+":
-                value = left + right
-            elif code == "R-":
-                value = left - right
-            elif code == "R*":
-                value = left * right
-            else:
-                if right == 0.0:
-                    raise MalformedRecord("division by zero parameter", line_number=line)
-                value = left / right
-        env.bind_real(target, value)
-        return env
-
-    if code in _STRING_OPS:
-        if code == "AE":
-            text = record.name3 or record.value4
-            if len(text) >= 2 and text[0] == text[-1] == "'":
-                text = text[1:-1]
-            env.bind_string(target, text)
-        else:
-            if record.name3 not in env.string_params:
-                raise UnboundParameter(f"string parameter {record.name3!r} is not bound",
-                                       line_number=line)
-            env.bind_string(target, env.string_params[record.name3])
-        return env
-
-    raise UnknownDirective(f"unknown directive code {record.indicator!r}",
-                           line_number=line)
+    row = _DIRECTIVES.get(record.indicator.upper())
+    if row is None:
+        raise UnknownDirective(f"unknown directive code {record.indicator!r}",
+                               line_number=line)
+    kind, form, op = row
+    operands = form(kind, env, record, line)
+    value = (operands[0] if op is None else kind.divide(*operands, line) if op == "/"
+             else _ARITHMETIC[op](*operands))
+    kind.bind(env, record.name2, value)
+    return env
 
 
 # --- loop expansion and name flattening ------------------------------------------

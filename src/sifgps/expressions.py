@@ -10,8 +10,10 @@ numeric differentiation.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -26,16 +28,6 @@ from .errors import (
     UnknownIntrinsic,
 )
 from .reader import SectionKind, SourceRecord, parse_fortran_real
-
-# Committed intrinsic set, with the arity of each call.  (min, max) arities;
-# None means unbounded.
-_INTRINSICS: dict[str, tuple[int, int | None]] = {
-    "ABS": (1, 1), "SQRT": (1, 1), "EXP": (1, 1), "LOG": (1, 1), "LOG10": (1, 1),
-    "SIN": (1, 1), "COS": (1, 1), "TAN": (1, 1),
-    "ASIN": (1, 1), "ACOS": (1, 1), "ATAN": (1, 1),
-    "SINH": (1, 1), "COSH": (1, 1), "TANH": (1, 1),
-    "MAX": (2, None), "MIN": (2, None), "SIGN": (2, 2), "MOD": (2, 2),
-}
 
 # Fortran spellings that map onto the committed set.
 _INTRINSIC_ALIASES = {
@@ -67,10 +59,82 @@ _TOKEN = re.compile(
 Node = tuple
 
 
-def canonical_intrinsic(name: str) -> str | None:
+@dataclass(frozen=True)
+class _Intrinsic:
+    """One intrinsic: its arity, math function, domain and array ufunc.
+
+    ``domain`` pairs a test, true on arguments outside the domain, with the
+    DomainError message it raises (a format string over the arguments and
+    ``name``).  ``ufunc`` is set only where numpy rounds exactly like
+    ``func``; elsewhere arrays run ``func`` once per entry.
+    """
+
+    name: str
+    low: int
+    high: int | None               # None: unbounded
+    func: Callable
+    domain: tuple[Callable, str] | None = None
+    ufunc: np.ufunc | None = None
+
+    def scalar(self, *args):
+        """The intrinsic over floats; every failure is a DomainError."""
+        if self.domain is not None and self.domain[0](*args):
+            raise DomainError(self.domain[1].format(*args, name=self.name))
+        try:
+            return self.func(*args)
+        except OverflowError as exc:
+            raise DomainError(f"overflow in {self.name}") from exc
+        except ValueError as exc:
+            values = ", ".join(repr(float(arg)) for arg in args)
+            raise DomainError(f"{self.name} of {values} outside its domain") from exc
+
+    def __call__(self, *args):
+        """The intrinsic over floats, or over arrays of instances."""
+        if not any(isinstance(arg, np.ndarray) for arg in args):
+            return self.scalar(*args)
+        if self.ufunc is not None and (self.domain is None
+                                       or not np.any(self.domain[0](*args))):
+            return self.ufunc(*args)
+        return _entrywise(self.scalar, *args)
+
+
+_POSITIVE = (lambda x: x <= 0.0, "{name} of non-positive value {0!r}")
+_UNIT = (lambda x: abs(x) > 1.0, "{name} of value {0!r} outside [-1, 1]")
+
+_INTRINSICS = {row.name: row for row in (
+    _Intrinsic("ABS", 1, 1, abs, ufunc=np.abs),
+    _Intrinsic("SQRT", 1, 1, math.sqrt,
+               (lambda x: x < 0.0, "SQRT of negative value {0!r}"), np.sqrt),
+    _Intrinsic("EXP", 1, 1, math.exp),
+    _Intrinsic("LOG", 1, 1, math.log, _POSITIVE),
+    _Intrinsic("LOG10", 1, 1, math.log10, _POSITIVE),
+    _Intrinsic("SIN", 1, 1, math.sin),
+    _Intrinsic("COS", 1, 1, math.cos),
+    _Intrinsic("TAN", 1, 1, math.tan),
+    _Intrinsic("ASIN", 1, 1, math.asin, _UNIT),
+    _Intrinsic("ACOS", 1, 1, math.acos, _UNIT),
+    _Intrinsic("ATAN", 1, 1, math.atan),
+    _Intrinsic("SINH", 1, 1, math.sinh),
+    _Intrinsic("COSH", 1, 1, math.cosh),
+    _Intrinsic("TANH", 1, 1, math.tanh),
+    _Intrinsic("MAX", 2, None, max),
+    _Intrinsic("MIN", 2, None, min),
+    _Intrinsic("SIGN", 2, 2, lambda a, b: math.copysign(abs(a), b)),
+    _Intrinsic("MOD", 2, 2, math.fmod, (lambda a, b: b == 0.0, "MOD with zero divisor")),
+)}
+
+
+def _intrinsic(name: str, count: int, line_number: int | None,
+               where: str = "") -> _Intrinsic:
+    """The row of a (possibly aliased) intrinsic called with count arguments."""
     upper = name.upper()
-    upper = _INTRINSIC_ALIASES.get(upper, upper)
-    return upper if upper in _INTRINSICS else None
+    row = _INTRINSICS.get(_INTRINSIC_ALIASES.get(upper, upper))
+    if row is None:
+        raise UnknownIntrinsic(f"unknown intrinsic {name!r}", line_number=line_number)
+    if count < row.low or (row.high is not None and count > row.high):
+        raise ExpressionSyntaxError(f"{row.name} called with {count} arguments{where}",
+                                    line_number=line_number)
+    return row
 
 
 class _Parser:
@@ -175,14 +239,9 @@ class _Parser:
                     if len(args) != 1:
                         raise self.error(f"{value} takes one argument")
                     return args[0]
-                intrinsic = canonical_intrinsic(value)
-                if intrinsic is None:
-                    raise UnknownIntrinsic(f"unknown intrinsic {value!r}",
-                                           line_number=self.line_number)
-                low, high = _INTRINSICS[intrinsic]
-                if len(args) < low or (high is not None and len(args) > high):
-                    raise self.error(f"{intrinsic} called with {len(args)} arguments")
-                return ("call", intrinsic, tuple(args))
+                row = _intrinsic(value, len(args), self.line_number,
+                                 f" in {self.text!r}")
+                return ("call", row.name, tuple(args))
             return ("var", value)
         raise self.error(f"unexpected token {value!r}")
 
@@ -195,11 +254,11 @@ def parse_expression(text: str, line_number: int | None = None) -> Node:
 
 
 # Every operation takes scalars or numpy arrays of instances of one type, and
-# over arrays it rounds exactly as over scalars: + - * / and ABS and SQRT are
-# correctly rounded ufuncs, integer powers are repeated multiplication, and
-# every other intrinsic and non-integer power runs math once per entry (numpy's
-# transcendentals round differently).  Over arrays a domain error names no
-# entry; callers rerun the scalars to locate it.
+# over arrays it rounds exactly as over scalars: + - * / and the intrinsics
+# with a ufunc are correctly rounded, integer powers are repeated
+# multiplication, and every other intrinsic and non-integer power runs math
+# once per entry (numpy's transcendentals round differently).  Over arrays a
+# domain error names no instance; callers rerun the scalars to locate it.
 
 
 def _entrywise(func, *args):
@@ -237,64 +296,8 @@ def _divide(left, right):
     return left / right
 
 
-def _call(name: str, args: tuple):
-    if not any(isinstance(arg, np.ndarray) for arg in args):
-        return _math(name, args)
-    if name == "ABS":
-        return np.abs(args[0])
-    if name == "SQRT":
-        if np.any(args[0] < 0.0):
-            raise DomainError("SQRT of a negative value")
-        return np.sqrt(args[0])
-    return _entrywise(lambda *entry: _math(name, entry), *args)
-
-
-def _math(name: str, args: tuple[float, ...]) -> float:
-    """An intrinsic over scalars, through math."""
-    try:
-        if name == "ABS":
-            return abs(args[0])
-        if name == "SQRT":
-            if args[0] < 0.0:
-                raise DomainError(f"SQRT of negative value {args[0]!r}")
-            return math.sqrt(args[0])
-        if name == "EXP":
-            return math.exp(args[0])
-        if name in ("LOG", "LOG10"):
-            if args[0] <= 0.0:
-                raise DomainError(f"{name} of non-positive value {args[0]!r}")
-            return math.log(args[0]) if name == "LOG" else math.log10(args[0])
-        if name == "SIN":
-            return math.sin(args[0])
-        if name == "COS":
-            return math.cos(args[0])
-        if name == "TAN":
-            return math.tan(args[0])
-        if name in ("ASIN", "ACOS"):
-            if abs(args[0]) > 1.0:
-                raise DomainError(f"{name} of value {args[0]!r} outside [-1, 1]")
-            return math.asin(args[0]) if name == "ASIN" else math.acos(args[0])
-        if name == "ATAN":
-            return math.atan(args[0])
-        if name == "SINH":
-            return math.sinh(args[0])
-        if name == "COSH":
-            return math.cosh(args[0])
-        if name == "TANH":
-            return math.tanh(args[0])
-        if name == "MAX":
-            return max(args)
-        if name == "MIN":
-            return min(args)
-        if name == "SIGN":
-            return math.copysign(abs(args[0]), args[1])
-        if name == "MOD":
-            if args[1] == 0.0:
-                raise DomainError("MOD with zero divisor")
-            return math.fmod(args[0], args[1])
-    except OverflowError as exc:
-        raise DomainError(f"overflow in {name}") from exc
-    raise UnknownIntrinsic(f"unknown intrinsic {name!r}")
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": _divide, "**": _power}
 
 
 def eval_node(node: Node, env: dict):
@@ -310,19 +313,12 @@ def eval_node(node: Node, env: dict):
     if tag == "neg":
         return -eval_node(node[1], env)
     if tag == "bin":
-        op = node[1]
-        left = eval_node(node[2], env)
-        right = eval_node(node[3], env)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            return _divide(left, right)
-        return _power(left, right)
-    return _call(node[1], tuple(eval_node(a, env) for a in node[2]))
+        return _OPERATORS[node[1]](eval_node(node[2], env), eval_node(node[3], env))
+    args = tuple(eval_node(a, env) for a in node[2])
+    row = _INTRINSICS.get(node[1])
+    if row is None:
+        raise UnknownIntrinsic(f"unknown intrinsic {node[1]!r}")
+    return row(*args)
 
 
 def free_names(node: Node, out: set[str] | None = None) -> set[str]:
@@ -748,15 +744,16 @@ def parse_nonlinear_section(kind: str, sections: dict[SectionKind, list[SourceRe
     return NonlinearPart(descriptors, global_names, global_values)
 
 
-def apply_intrinsic(name: str, *args: float) -> float:
-    """Apply one intrinsic by (possibly aliased) name; used by RF directives."""
-    canonical = canonical_intrinsic(name)
-    if canonical is None:
-        raise UnknownIntrinsic(f"unknown intrinsic {name!r}")
-    low, high = _INTRINSICS[canonical]
-    if len(args) < low or (high is not None and len(args) > high):
-        raise ExpressionSyntaxError(f"{canonical} called with {len(args)} arguments")
-    return _math(canonical, args)
+def apply_intrinsic(name: str, *args: float, line_number: int | None = None) -> float:
+    """Apply one intrinsic by (possibly aliased) name; used by RF directives.
+
+    Every error it raises names ``line_number``.
+    """
+    row = _intrinsic(name, len(args), line_number)
+    try:
+        return row.scalar(*args)
+    except DomainError as err:
+        raise DomainError(err.message, line_number=line_number) from err
 
 
 # --- JSON round-trip of expression trees ---------------------------------------
@@ -783,6 +780,8 @@ def node_from_json(data) -> Node:
     if tag == "neg":
         return ("neg", node_from_json(data[1]))
     if tag == "bin":
+        if data[1] not in _OPERATORS:
+            raise ExpressionSyntaxError(f"unknown operator {data[1]!r}")
         return ("bin", data[1], node_from_json(data[2]), node_from_json(data[3]))
     if tag == "call":
         return ("call", data[1], tuple(node_from_json(a) for a in data[2]))

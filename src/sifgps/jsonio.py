@@ -85,7 +85,8 @@ def _names_in(values, field: str) -> tuple[str, ...]:
     return tuple(values)
 
 
-def _matrix_out(matrix) -> dict:
+def matrix_out(matrix) -> dict:
+    """A matrix as the dump writes it: its shape and row-major entries."""
     coo = sparse.coo_matrix(matrix)
     order = np.lexsort((coo.col, coo.row))
     entries = zip(coo.row[order].tolist(), coo.col[order].tolist(),
@@ -143,7 +144,7 @@ def _element_type(desc: ElementDescriptor) -> dict:
         "internal": list(desc.internal),
         "parameters": list(desc.parameters),
         "range_matrix": (None if desc.range_matrix is None
-                         else _matrix_out(desc.range_matrix)),
+                         else matrix_out(desc.range_matrix)),
         "program": _program(desc.program),
     }
 
@@ -215,7 +216,7 @@ _NUMBER = _optional(_Codec(lambda value: _floats_out([value])[0],
 _VECTOR = _Codec(_floats_out, _floats_in)
 _INDICES = _Codec(np.ndarray.tolist, _ints_in)
 _NAMES = _Codec(list, _names_in)
-_MATRIX = _Codec(_matrix_out, _matrix_in)
+_MATRIX = _Codec(matrix_out, _matrix_in)
 _RANGES = _Codec(lambda ranges: list(map(_NUMBER.dump, ranges)),  # optional numbers
                  lambda data, field: tuple(_NUMBER.load(r, field) for r in data))
 _ALT_SETS = _Codec(lambda sets: {key: list(names) for key, names in sets.items()},

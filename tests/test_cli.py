@@ -11,6 +11,7 @@ from sifgps.cli import main
 from sifgps.evaluator import ACTIONS
 
 from conftest import CORPUS
+from test_evaluator import SIN_OF_SQUARE
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -185,6 +186,13 @@ def test_eval_names_a_non_finite_result(capsys):
     line = one_error_line(capsys, "eval", str(CORPUS / "ROSENBR.SIF"), "fx",
                           "--x=1e200,1e200")
     assert line == "SifError: result 'f' of 'fx' is not finite"
+
+
+def test_eval_reports_a_math_failure_in_one_line(tmp_path, capsys):
+    sif = tmp_path / "SINSQ.SIF"
+    sif.write_text(SIN_OF_SQUARE)
+    line = one_error_line(capsys, "eval", str(sif), "fx", "--x=1e200")
+    assert line == "DomainError: SIN of inf outside its domain [element 0]"
 
 
 def test_info_summary(tmp_path, capsys):

@@ -416,6 +416,47 @@ def test_domain_error_carries_element_index():
     assert info.value.element_index == 0
 
 
+SIN_OF_SQUARE = sif_text(
+    "NAME T",
+    "VARIABLES",
+    ("", "A"),
+    "GROUPS",
+    ("N", "OBJ"),
+    "ELEMENT TYPE",
+    ("EV", "SS", "V1"),
+    "ELEMENT USES",
+    ("T", "E1", "SS"),
+    ("V", "E1", "V1", "", "A"),
+    "GROUP USES",
+    ("E", "OBJ", "E1", "1.0"),
+    "ENDATA",
+    "ELEMENTS T",
+    "INDIVIDUALS",
+    ("T", "SS"),
+    ("F", "", "", "SIN( V1 * V1 )"),
+    ("G", "V1", "", "2.0 * V1 * COS( V1 * V1 )"),
+    ("H", "V1", "V1", "2.0 * COS( V1 * V1 )"),
+    "ENDATA",
+)
+
+
+def test_math_failure_is_a_domain_error_with_its_element():
+    ev = evaluator_for(SIN_OF_SQUARE)
+    with pytest.raises(DomainError) as info:
+        ev.evaluate_objective(np.array([1e200]), 0)
+    assert info.value.element_index == 0
+    assert info.value.message == "SIN of inf outside its domain"
+
+
+def test_g_index_arrays_are_shared_not_copied():
+    problem, internals = decode_corpus("LOOPQD")
+    ev = Evaluator(problem, internals)
+    plan = ev._plans["objective"]
+    walk = ev._walk(problem.x0, 1, plan, np.ones(plan.groups.size))
+    assert np.shares_memory(walk.G.indices, plan.g_indices)
+    assert np.shares_memory(walk.G.indptr, plan.g_indptr)
+
+
 def test_concurrent_evaluations_agree():
     from concurrent.futures import ThreadPoolExecutor
 

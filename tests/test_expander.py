@@ -7,11 +7,14 @@ import pytest
 
 from sifgps import DecodeOptions, decode, dump_text, read_sif, setup
 from sifgps.errors import (
+    DomainError,
+    ExpressionSyntaxError,
     MalformedRecord,
     TypeMismatch,
     UnboundLoopVariable,
     UnboundParameter,
     UnknownDirective,
+    UnknownIntrinsic,
     UnterminatedLoop,
     UnusedUserParameters,
     ZeroIncrement,
@@ -25,7 +28,7 @@ from sifgps.expander import (
 )
 from sifgps.reader import SourceRecord
 
-from conftest import decode_corpus
+from conftest import decode_corpus, sif_text
 
 
 def rec(indicator, name2="", name3="", value4="", name5="", value6="", line=1,
@@ -136,6 +139,123 @@ def test_directive_errors():
         eval_param_directive(env, rec("IA", "M", "R", "1"))
     with pytest.raises(UnknownDirective):
         eval_param_directive(env, rec("QQ", "M", "N", "1"))
+
+
+# One row per directive code, with the value worked out by hand.  The
+# environment holds N=3, K=4, M7=-7, TWO=2, Z=0, X=4.0, Y=0.25, RZ=0.0, S='L2'.
+DIRECTIVE_ROWS = [
+    (rec("IE", "T", value4="3"), 3),
+    (rec("IA", "T", "N", "4"), 7),            # parameter plus literal
+    (rec("IS", "T", "N", "10"), 7),           # literal minus parameter
+    (rec("IM", "T", "N", "-4"), -12),
+    (rec("ID", "T", "N", "-7"), -2),          # literal over parameter, truncated
+    (rec("ID", "T", "N", "7"), 2),
+    (rec("I=", "T", "N"), 3),
+    (rec("I+", "T", "N", name5="K"), 7),
+    (rec("I-", "T", "N", name5="K"), -1),
+    (rec("I*", "T", "N", name5="K"), 12),
+    (rec("I/", "T", "M7", name5="TWO"), -3),  # toward zero, not floor's -4
+    (rec("I/", "T", "K", name5="N"), 1),
+    (rec("i+", "T", "N", name5="K"), 7),      # codes are case-blind
+    (rec("RE", "T", value4="2.5D0"), 2.5),
+    (rec("RA", "T", "X", "0.5"), 4.5),
+    (rec("RS", "T", "X", "1.0"), -3.0),
+    (rec("RM", "T", "X", "0.5"), 2.0),
+    (rec("RD", "T", "X", "1.0"), 0.25),
+    (rec("R=", "T", "Y"), 0.25),
+    (rec("R+", "T", "X", name5="Y"), 4.25),
+    (rec("R-", "T", "X", name5="Y"), 3.75),
+    (rec("R*", "T", "X", name5="Y"), 1.0),
+    (rec("R/", "T", "X", name5="Y"), 16.0),
+    (rec("RI", "T", "N"), 3.0),
+    (rec("RF", "T", "SQRT", "9.0"), 3.0),
+    (rec("RF", "T", "SQRT", name5="X"), 2.0),  # operand from field 5
+    (rec("RF", "T", "DABS", "-1.5"), 1.5),
+    (rec("AE", "T", "'L3'"), "L3"),
+    (rec("AE", "T", value4="ABC"), "ABC"),
+    (rec("A=", "T", "S"), "L2"),
+]
+
+
+def directive_env() -> ParameterEnvironment:
+    env = ParameterEnvironment()
+    for name, value in (("N", 3), ("K", 4), ("M7", -7), ("TWO", 2), ("Z", 0)):
+        env.bind_int(name, value)
+    for name, value in (("X", 4.0), ("Y", 0.25), ("RZ", 0.0)):
+        env.bind_real(name, value)
+    env.bind_string("S", "L2")
+    return env
+
+
+@pytest.mark.parametrize("record,expected", DIRECTIVE_ROWS,
+                         ids=[f"{r.indicator}-{i}" for i, (r, _) in
+                              enumerate(DIRECTIVE_ROWS)])
+def test_directive_conformance(record, expected):
+    env = directive_env()
+    env.bind_string("T", "old")  # a rebinding drops the old type's entry
+    eval_param_directive(env, record)
+    tables = {"I": env.integer_params, "R": env.real_params, "A": env.string_params}
+    kind = record.indicator[0].upper()
+    assert tables[kind]["T"] == expected
+    assert type(tables[kind]["T"]) is type(expected)
+    assert [k for k, table in tables.items() if "T" in table] == [kind]
+
+
+DIRECTIVE_ERROR_ROWS = [
+    (rec("ID", "T", "Z", "5", line=7), MalformedRecord, "integer division by zero"),
+    (rec("I/", "T", "N", name5="Z", line=7), MalformedRecord,
+     "integer division by zero"),
+    (rec("RD", "T", "RZ", "1.0", line=7), MalformedRecord,
+     "division by zero parameter"),
+    (rec("R/", "T", "X", name5="RZ", line=7), MalformedRecord,
+     "division by zero parameter"),
+    (rec("RI", "T", "X", line=7), TypeMismatch, "parameter 'X' is not an integer"),
+    (rec("R+", "T", "N", name5="X", line=7), TypeMismatch,
+     "parameter 'N' is not a real (convert with RI)"),
+    (rec("IE", "T", value4="2.5", line=7), TypeMismatch,
+     "expected an integer literal, got '2.5'"),
+    (rec("RF", "T", "SQRT", line=7), MalformedRecord, "RF directive without an operand"),
+    (rec("A=", "T", "Q", line=7), UnboundParameter, "string parameter 'Q' is not bound"),
+    (rec("I=", "T", "Q", line=7), UnboundParameter, "integer parameter 'Q' is not bound"),
+    (rec("IA", "", "N", "1", line=7), MalformedRecord,
+     "directive without a target parameter"),
+    (rec("QQ", "T", "N", "1", line=7), UnknownDirective, "unknown directive code 'QQ'"),
+]
+
+
+@pytest.mark.parametrize("record,error,message", DIRECTIVE_ERROR_ROWS,
+                         ids=[f"{r.indicator}-{i}" for i, (r, _, _) in
+                              enumerate(DIRECTIVE_ERROR_ROWS)])
+def test_directive_error_conformance(record, error, message):
+    with pytest.raises(error) as info:
+        eval_param_directive(directive_env(), record)
+    assert type(info.value) is error
+    assert (info.value.message, info.value.line_number) == (message, 7)
+
+
+@pytest.mark.parametrize("record,error,message", [
+    (rec("RF", "T", "FOO", "1.0", line=9), UnknownIntrinsic, "unknown intrinsic 'FOO'"),
+    (rec("RF", "T", "LOG", "-1.0", line=9), DomainError, "LOG of non-positive value -1.0"),
+    (rec("RF", "T", "MAX", "1.0", line=9), ExpressionSyntaxError,
+     "MAX called with 1 arguments"),
+], ids=["unknown", "domain", "arity"])
+def test_rf_errors_name_their_line(record, error, message):
+    with pytest.raises(error) as info:
+        eval_param_directive(directive_env(), record)
+    assert (info.value.message, info.value.line_number) == (message, 9)
+
+
+def test_rf_of_an_infinite_parameter_is_a_sif_error():
+    text = sif_text("NAME T",
+                    ("RE", "BIG", "", "1.0D+400"),
+                    ("RF", "S", "SIN", "", "BIG"),
+                    "VARIABLES",
+                    ("", "A"),
+                    "ENDATA")
+    with pytest.raises(DomainError) as info:
+        decode(text)
+    assert info.value.line_number == 3
+    assert info.value.message == "SIN of inf outside its domain"
 
 
 # --- loops ---------------------------------------------------------------------

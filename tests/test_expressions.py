@@ -16,6 +16,7 @@ from sifgps.errors import (
 from sifgps.expressions import (
     ElementTypeDecl,
     GroupTypeDecl,
+    apply_intrinsic,
     eval_element,
     eval_group_function,
     eval_node,
@@ -137,6 +138,138 @@ def test_intrinsic_domain_errors():
             ev(text, X=0.0)
 
 
+# One row per intrinsic: arguments and the value Fortran's intrinsic gives,
+# which for the transcendentals is the C library's, as math returns it.
+INTRINSIC_ROWS = {
+    "ABS": ((-3.0,), 3.0),
+    "SQRT": ((2.25,), 1.5),
+    "EXP": ((0.5,), math.exp(0.5)),
+    "LOG": ((0.5,), math.log(0.5)),
+    "LOG10": ((1000.0,), 3.0),
+    "SIN": ((0.5,), math.sin(0.5)),
+    "COS": ((0.5,), math.cos(0.5)),
+    "TAN": ((0.5,), math.tan(0.5)),
+    "ASIN": ((0.5,), math.asin(0.5)),
+    "ACOS": ((0.5,), math.acos(0.5)),
+    "ATAN": ((0.5,), math.atan(0.5)),
+    "SINH": ((0.5,), math.sinh(0.5)),
+    "COSH": ((0.5,), math.cosh(0.5)),
+    "TANH": ((0.5,), math.tanh(0.5)),
+    "MAX": ((1.0, 2.0, -4.0), 2.0),
+    "MIN": ((1.0, 2.0, -4.0), -4.0),
+    "SIGN": ((3.0, -2.0), -3.0),
+    "MOD": ((-7.0, 3.0), -1.0),
+}
+
+# Each Fortran spelling and the intrinsic it means.
+INTRINSIC_ALIASES = {
+    "ARCSIN": "ASIN", "ARCCOS": "ACOS", "ARCTAN": "ATAN",
+    "HYPSIN": "SINH", "HYPCOS": "COSH", "HYPTAN": "TANH",
+    "DABS": "ABS", "DSQRT": "SQRT", "DEXP": "EXP", "DLOG": "LOG",
+    "DLOG10": "LOG10", "DSIN": "SIN", "DCOS": "COS", "DTAN": "TAN",
+    "DASIN": "ASIN", "DACOS": "ACOS", "DATAN": "ATAN",
+    "DSINH": "SINH", "DCOSH": "COSH", "DTANH": "TANH",
+    "DSIGN": "SIGN", "DMOD": "MOD",
+    "DMAX1": "MAX", "DMIN1": "MIN", "AMAX1": "MAX", "AMIN1": "MIN",
+    "ALOG": "LOG", "ALOG10": "LOG10",
+    "abs": "ABS", "Sqrt": "SQRT",
+}
+
+
+def call_text(name, count):
+    return f"{name}({', '.join(f'A{k}' for k in range(count))})"
+
+
+@pytest.mark.parametrize("name", [*INTRINSIC_ROWS, *INTRINSIC_ALIASES])
+def test_intrinsic_conformance(name):
+    args, expected = INTRINSIC_ROWS[INTRINSIC_ALIASES.get(name, name)]
+    node = parse_expression(call_text(name, len(args)))
+    env = {f"A{k}": arg for k, arg in enumerate(args)}
+    assert eval_node(node, env) == expected
+    # over arrays: every entry as over scalars, a scalar argument broadcast
+    arrays = {**env, "A0": np.array([args[0], args[0]])}
+    assert eval_node(node, arrays).tolist() == [expected, expected]
+    if len(args) == 1:
+        assert apply_intrinsic(name, *args) == expected
+
+
+# Each failure, with the exact message, and the argument that raises it.
+DOMAIN_ROWS = [
+    ("SQRT(X)", -1.0, "SQRT of negative value -1.0"),
+    ("LOG(X)", -3.0, "LOG of non-positive value -3.0"),
+    ("LOG10(X)", 0.0, "LOG10 of non-positive value 0.0"),
+    ("ASIN(X)", 2.0, "ASIN of value 2.0 outside [-1, 1]"),
+    ("ACOS(X)", -2.0, "ACOS of value -2.0 outside [-1, 1]"),
+    ("MOD(1.0, X)", 0.0, "MOD with zero divisor"),
+    ("EXP(X)", 1000.0, "overflow in EXP"),
+    ("SINH(X)", 1000.0, "overflow in SINH"),
+    ("COSH(X)", -1000.0, "overflow in COSH"),
+    ("1.0 / X", 0.0, "division by zero"),
+    ("X ** 0.5", -1.0, "-1.0 ** 0.5 with non-integer exponent"),
+    ("X ** -1", 0.0, "zero raised to a negative power"),
+]
+
+
+@pytest.mark.parametrize("text,bad,message", DOMAIN_ROWS)
+def test_domain_error_conformance(text, bad, message):
+    node = parse_expression(text)
+    with pytest.raises(DomainError) as info:
+        eval_node(node, {"X": bad})
+    assert info.value.message == message
+    # over arrays the first entry outside the domain is named
+    with pytest.raises(DomainError) as info:
+        eval_node(node, {"X": np.array([0.5, bad, bad])})
+    assert info.value.message == message
+
+
+def test_math_failures_are_domain_errors():
+    for text in ("SIN(X)", "COS(X)", "TAN(X)", "MOD(X, 1.0)"):
+        for x in (math.inf, np.array([0.5, -math.inf])):
+            with pytest.raises(DomainError):
+                ev(text, X=x)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("SIN(1.0, 2.0)", "SIN called with 2 arguments in 'SIN(1.0, 2.0)'"),
+    ("MAX(1.0)", "MAX called with 1 arguments in 'MAX(1.0)'"),
+    ("DMIN1(1.0)", "MIN called with 1 arguments in 'DMIN1(1.0)'"),
+    ("SIGN(1.0, 2.0, 3.0)", "SIGN called with 3 arguments in 'SIGN(1.0, 2.0, 3.0)'"),
+    ("MOD(1.0)", "MOD called with 1 arguments in 'MOD(1.0)'"),
+])
+def test_parser_arity_errors(text, message):
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse_expression(text, line_number=4)
+    assert (info.value.message, info.value.line_number) == (message, 4)
+
+
+@pytest.mark.parametrize("name,args,error,message", [
+    ("MAX", (1.0,), ExpressionSyntaxError, "MAX called with 1 arguments"),
+    ("AMIN1", (1.0,), ExpressionSyntaxError, "MIN called with 1 arguments"),
+    ("SIGN", (1.0,), ExpressionSyntaxError, "SIGN called with 1 arguments"),
+    ("SIN", (1.0, 2.0), ExpressionSyntaxError, "SIN called with 2 arguments"),
+    ("FOO", (1.0,), UnknownIntrinsic, "unknown intrinsic 'FOO'"),
+    ("ALOG", (-1.0,), DomainError, "LOG of non-positive value -1.0"),
+])
+def test_apply_intrinsic_errors(name, args, error, message):
+    with pytest.raises(error) as info:
+        apply_intrinsic(name, *args)
+    assert type(info.value) is error and info.value.message == message
+
+
+@pytest.mark.parametrize("ufunc,scalar", [(np.sqrt, math.sqrt), (np.abs, abs)])
+def test_array_intrinsics_round_like_math(ufunc, scalar):
+    """The ufuncs that run ABS and SQRT over arrays round exactly as the math
+    functions do over scalars; comparing the two evaluation paths cannot
+    show this, as both read one table."""
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal(1000) * 10.0 ** rng.integers(-300, 300, 1000)
+    x[:4] = (0.0, -0.0, 5e-324, math.inf)
+    if ufunc is np.sqrt:
+        x = np.abs(x)
+    expected = np.array([scalar(value) for value in x.tolist()])
+    assert np.array_equal(ufunc(x).view(np.int64), expected.view(np.int64))
+
+
 def test_unknown_intrinsic_fails_at_parse():
     with pytest.raises(UnknownIntrinsic):
         parse_expression("BESSEL(1.0)")
@@ -155,6 +288,12 @@ def test_syntax_errors_carry_line_numbers():
 def test_prefix_json_round_trip():
     node = parse_expression("PW * (A + B) ** 2 - SIN(A) / 2.0")
     assert node_from_json(node_to_json(node)) == node
+
+
+def test_unknown_operator_in_json_rejected():
+    with pytest.raises(ExpressionSyntaxError) as info:
+        node_from_json(["bin", "%", ["num", 1.0], ["num", 2.0]])
+    assert info.value.message == "unknown operator '%'"
 
 
 # --- parsing the nonlinear sections ---------------------------------------------------
